@@ -7,6 +7,9 @@ dead edges keep their derivations so earlier parents still unpack.
 Edges carrying semantic readings only interact when their semantic keys
 agree, so semantically distinct analyses stay distinct edges.
 
+`ForestFold` folds the packed forest below an edge bottom-up, cutting
+unproductive cycles; tree counting and dispreference are both folds.
+
 Predictions are sequences of restricted categories anticipated at a
 string position. Adding one applies the restrictor, the one-word
 lookahead filter, and a subsumption check against existing sequences.
@@ -15,6 +18,7 @@ lookahead filter, and a subsumption check against existing sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Generic, TypeVar
 
 from .grammar import Rule
 from .tables import CompiledTables
@@ -28,6 +32,8 @@ from .terms import (
     unify_values,
     variants,
 )
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -95,6 +101,57 @@ class Edge:
 
     def __repr__(self) -> str:
         return f"<edge {self.id} {self.start}-{self.end} {canonical(self.cat)}>"
+
+
+class ForestFold(Generic[T]):
+    """A bottom-up fold over the packed forest below an edge.
+
+    An edge's value is `plus` over its derivations of
+    `derive(derivation, daughter values)`, starting from `zero`. A
+    daughter that revisits an edge on the current root path (possible
+    only through unproductive cycles) is cut: its value is `zero`. The
+    cut is path-dependent, so a value is memoised only when its whole
+    computation hit no cut; such a value is the same on every path.
+    Counting trees is (0, +, product); the cheapest derivation is
+    (inf, min, sum).
+    """
+
+    def __init__(self, zero: T, plus: Callable[[T, T], T],
+                 derive: Callable[[Derivation, list[T]], T]):
+        self.zero = zero
+        self.plus = plus
+        self.derive = derive
+        self._memo: dict[int, T] = {}
+
+    def value(self, edge: Edge, path: set[int] | None = None) -> T:
+        """The edge's value below `path`, the ids of the edges above it
+        on the current root path (default: the edge is a root)."""
+        return self._fold(edge, set() if path is None else path)[0]
+
+    def settled(self, edge: Edge) -> bool:
+        """Whether the edge's value is memoised, and so path-independent."""
+        return edge.id in self._memo
+
+    def _fold(self, edge: Edge, path: set[int]) -> tuple[T, bool]:
+        got = self._memo.get(edge.id)
+        if got is not None:
+            return got, True
+        if edge.id in path:
+            return self.zero, False
+        path.add(edge.id)
+        best = self.zero
+        clean = True
+        for d in edge.derivations:
+            values = []
+            for child in d.daughters:
+                value, ok = self._fold(child, path)
+                clean = clean and ok
+                values.append(value)
+            best = self.plus(best, self.derive(d, values))
+        path.remove(edge.id)
+        if clean:
+            self._memo[edge.id] = best
+        return best, clean
 
 
 class Chart:

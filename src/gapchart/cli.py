@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .engine import ConfigError, UnknownWordError, parse, tokenize
-from .grammar import Grammar, GrammarError, load_grammar
+from .grammar import GrammarError, load_grammar
 from .scoring import (
     ScoreWeights,
     min_fragment_cover,
@@ -23,13 +23,6 @@ from .scoring import (
 )
 from .semantics import DEPTHS, SEM, SORTS_DEFERRED, SORTS_IMMEDIATE, SYN
 from .tables import STRATEGIES, compile_tables
-
-_STAT_DEPTHS = {SYN, SEM, SORTS_IMMEDIATE, SORTS_DEFERRED}
-
-
-def _load(path: str) -> Grammar:
-    return load_grammar(path)
-
 
 def _utterances(args) -> list[str]:
     if getattr(args, "utt", None) is not None:
@@ -48,7 +41,7 @@ def _trace_fn(enabled: bool):
 
 
 def cmd_validate(args) -> int:
-    grammar = _load(args.grammar)
+    grammar = load_grammar(args.grammar)
     tables = compile_tables(grammar, args.strategy)
     print(f"rules\t{len(grammar.rules)}")
     print(f"lexicon\t{sum(len(v) for v in grammar.lexicon.values())}")
@@ -64,7 +57,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    grammar = _load(args.grammar)
+    grammar = load_grammar(args.grammar)
     tables = compile_tables(grammar, args.strategy)
     trace = _trace_fn(args.trace)
     for utt in _utterances(args):
@@ -108,7 +101,7 @@ def _variant(token: str) -> tuple[str, str]:
         return _VARIANTS[token]
     if ":" in token:
         strat, _, depth = token.partition(":")
-        if strat in STRATEGIES and depth in _STAT_DEPTHS:
+        if strat in STRATEGIES and depth in DEPTHS:
             return strat, depth
     raise ValueError(
         f"unknown variant {token!r}: use a strategy, a depth, or strategy:depth"
@@ -116,7 +109,7 @@ def _variant(token: str) -> tuple[str, str]:
 
 
 def cmd_stats(args) -> int:
-    grammar = _load(args.grammar)
+    grammar = load_grammar(args.grammar)
     utterances = _utterances(args)
     variants = [_variant(tok) for tok in args.variants]
     for token, (strategy, depth) in zip(args.variants, variants):
@@ -139,7 +132,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    grammar = _load(args.grammar)
+    grammar = load_grammar(args.grammar)
     tables = compile_tables(grammar, args.strategy)
     weights = ScoreWeights.from_json(args.weights) if args.weights else ScoreWeights()
     for utt in _utterances(args):
@@ -157,7 +150,7 @@ def cmd_cover(args) -> int:
 
 
 def cmd_rescore(args) -> int:
-    grammar = _load(args.grammar)
+    grammar = load_grammar(args.grammar)
     weights = ScoreWeights.from_json(args.weights) if args.weights else ScoreWeights()
     groups = read_nbest(args.nbest)
     rows = rescore(

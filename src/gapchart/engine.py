@@ -14,11 +14,12 @@ category can begin itself, so directly predicted phrases are covered).
 
 from __future__ import annotations
 
-import itertools
+import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .chart import Chart, Derivation, Edge
+from .chart import Chart, Derivation, Edge, ForestFold
 from .grammar import Grammar, Rule
 from .semantics import (
     DEPTHS,
@@ -115,47 +116,77 @@ class ParseResult:
         return out
 
     def trees(self, limit: int | None = None) -> list[str]:
-        """Unpack complete derivation trees, one s-expression each.
+        """Complete derivation trees, one s-expression each.
 
-        Cyclic derivations (possible only through unproductive chains)
-        are cut rather than expanded.
+        The list holds every tree of every complete edge, in edge order,
+        derivation order, and then `itertools.product` order over the
+        daughters; `trees(n)` is exactly `trees()[:n]`. Each tree is
+        unranked from per-edge tree counts rather than expanded, so the
+        first n trees cost time linear in the forest and in their own
+        size, not in the number of trees. Cyclic derivations (possible only through unproductive
+        chains) are cut rather than expanded.
         """
-        memo: dict[int, list[str]] = {}
+        unranker = _Unranker()
+        roots = [(edge, unranker.counts.value(edge))
+                 for edge in self.complete_edges()]
+        # the length of `trees()[:limit]`, negative limits included
+        wanted = len(range(sum(n for _, n in roots))[:limit])
+        out: list[str] = []
+        for edge, n in roots:
+            for index in range(min(n, wanted - len(out))):
+                out.append(unranker.tree(edge, index, set()))
+        return out
 
-        def rec(edge: Edge, visiting: set[int]) -> tuple[list[str], bool]:
-            got = memo.get(edge.id)
-            if got is not None:
-                return got, True
-            if edge.id in visiting:
-                return [], False
-            visiting.add(edge.id)
-            out: list[str] = []
-            clean = True
+
+class _Unranker:
+    """Reads tree number i of an edge off per-edge tree counts: the
+    derivations in order, and within one derivation the daughters'
+    trees in mixed radix with the last daughter varying fastest.
+
+    An edge whose count is settled has the same trees on every root
+    path, so its derivation counts and its trees are kept and shared
+    between the trees above it."""
+
+    def __init__(self):
+        self.counts = ForestFold(0, operator.add, lambda _d, ns: math.prod(ns))
+        self._choices: dict[int, list[tuple[Derivation, list[int], int]]] = {}
+        self._trees: dict[tuple[int, int], str] = {}
+
+    def tree(self, edge: Edge, index: int, path: set[int]) -> str:
+        """Tree number `index` of the edge below the root path `path`."""
+        key = (edge.id, index)
+        tree = self._trees.get(key)
+        if tree is not None:
+            return tree
+        path.add(edge.id)
+        for d, sizes, total in self._derivations(edge, path):
+            if index < total:
+                break
+            index -= total
+        parts = []
+        for child, size in zip(reversed(d.daughters), reversed(sizes)):
+            index, k = divmod(index, size)
+            parts.append(self.tree(child, k, path))
+        path.remove(edge.id)
+        if d.kind == "lex":
+            tree = d.word
+        else:
+            tree = f"({' '.join([d.rule.name, *reversed(parts)])})"
+        if self.counts.settled(edge):
+            self._trees[key] = tree
+        return tree
+
+    def _derivations(self, edge: Edge, path: set[int]):
+        """Each derivation with its daughters' tree counts and its own."""
+        choices = self._choices.get(edge.id)
+        if choices is None:
+            choices = []
             for d in edge.derivations:
-                if d.kind == "lex":
-                    out.append(d.word)
-                elif d.kind == "empty":
-                    out.append(f"({d.rule.name})")
-                else:
-                    child_lists = []
-                    for child in d.daughters:
-                        trees, ok = rec(child, visiting)
-                        clean = clean and ok
-                        child_lists.append(trees)
-                    for combo in itertools.product(*child_lists):
-                        out.append(f"({d.rule.name} {' '.join(combo)})")
-            visiting.remove(edge.id)
-            if clean:
-                memo[edge.id] = out
-            return out, clean
-
-        all_trees: list[str] = []
-        for edge in self.complete_edges():
-            trees, _ = rec(edge, set())
-            all_trees.extend(trees)
-        if limit is not None:
-            return all_trees[:limit]
-        return all_trees
+                sizes = [self.counts.value(child, path) for child in d.daughters]
+                choices.append((d, sizes, math.prod(sizes)))
+            if self.counts.settled(edge):
+                self._choices[edge.id] = choices
+        return choices
 
 
 class _Parser:

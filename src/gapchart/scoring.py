@@ -24,8 +24,10 @@ import json
 import math
 from dataclasses import dataclass
 
+from .chart import ForestFold
 from .engine import ParseResult, parse
 from .grammar import Grammar
+from .tables import compile_tables
 
 _EPS = 1e-9
 
@@ -88,33 +90,14 @@ def edge_dispreference(grammar: Grammar, edge) -> float:
     """Cheapest total dispreferred-rule weight any derivation of the
     edge incurs; inf only for edges with no acyclic derivation."""
     weights = grammar.dispreferred
-    memo: dict[int, float] = {}
 
-    def rec(e, visiting: set[int]) -> tuple[float, bool]:
-        got = memo.get(e.id)
-        if got is not None:
-            return got, True
-        if e.id in visiting:
-            return math.inf, False
-        visiting.add(e.id)
-        best = math.inf
-        clean = True
-        for d in e.derivations:
-            if d.kind == "lex":
-                cost = 0.0
-            else:
-                cost = weights.get(d.rule.name, 0.0)
-                for child in d.daughters:
-                    sub, ok = rec(child, visiting)
-                    clean = clean and ok
-                    cost += sub
-            best = min(best, cost)
-        visiting.remove(e.id)
-        if clean:
-            memo[e.id] = best
-        return best, clean
+    def derive(d, costs: list[float]) -> float:
+        cost = 0.0 if d.kind == "lex" else weights.get(d.rule.name, 0.0)
+        for sub in costs:
+            cost += sub
+        return cost
 
-    return rec(edge, set())[0]
+    return ForestFold(math.inf, min, derive).value(edge)
 
 
 def min_fragment_cover(result: ParseResult,
@@ -257,13 +240,14 @@ def rescore(grammar: Grammar, groups: dict[str, list[Hypothesis]],
     utterance's list by rec + scale * score (stable on ties)."""
     if weights is None:
         weights = ScoreWeights()
+    tables = compile_tables(grammar, strategy)
     out: list[RescoredHypothesis] = []
     for utt in groups:
         scored: list[tuple[float, Hypothesis, FragmentCover, float]] = []
         for hyp in groups[utt]:
             result = parse(
                 grammar, list(hyp.words), strategy=strategy, depth=depth,
-                lookahead=lookahead, robust=True,
+                lookahead=lookahead, robust=True, tables=tables,
             )
             cover = min_fragment_cover(result, weights)
             nl = nl_score(cover, weights)

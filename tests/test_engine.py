@@ -170,12 +170,68 @@ def test_lookahead_prunes_without_losing_parses(toy_grammar, toy_corpus):
         assert with_la.stats.edges <= without.stats.edges
 
 
-def test_trees_limit(ambig_grammar):
+# a and b, and b and c, derive each other: the packed forest has cycles
+UNARY_CYCLE = """
+start a()
+rule ab : a() -> b()
+rule ba : b() -> a()
+rule bc : b() -> c()
+rule cb : c() -> b()
+rule aaw : a() -> a() w()
+lex x : a()
+lex x : c()
+lex w : w()
+"""
+
+
+def tree_yield(tree):
+    """The words of a tree: every token not right after "(" and not a
+    rule name."""
+    tokens = tree.replace("(", " ( ").replace(")", " ) ").split()
+    return [
+        tok for i, tok in enumerate(tokens)
+        if tok not in ("(", ")") and (i == 0 or tokens[i - 1] != "(")
+    ]
+
+
+def assert_limits_are_prefixes(result):
+    every = result.trees()
+    for n in range(len(every) + 2):
+        assert result.trees(n) == every[:n], n
+    return every
+
+
+def test_trees_limit(ambig_grammar, ambig_corpus):
     words = tokenize("the man saw the dog with the telescope in the park")
     r = parse(ambig_grammar, words)
     assert len(r.trees()) == 5
     assert len(r.trees(3)) == 3
     assert set(r.trees(3)) <= set(r.trees())
+    for utt in ambig_corpus:
+        assert_limits_are_prefixes(parse(ambig_grammar, tokenize(utt)))
+    assert_limits_are_prefixes(parse(parse_grammar(EPSILON_CHAIN), ["w"],
+                                     strategy="bu"))
+
+
+@pytest.mark.parametrize("strategy", ["bu", "llc", "lc"])
+def test_trees_cut_unary_cycles(strategy):
+    g = parse_grammar(UNARY_CYCLE)
+    r = parse(g, ["x"], strategy=strategy)
+    assert assert_limits_are_prefixes(r) == ["x", "(ab (bc x))"]
+    r = parse(g, ["x", "w", "w"], strategy=strategy)
+    assert assert_limits_are_prefixes(r) == [
+        "(aaw (aaw x w) w)", "(aaw (aaw (ab (bc x)) w) w)"
+    ]
+
+
+def test_first_trees_of_a_huge_forest_come_fast(ambig_grammar):
+    # 20 PPs: Catalan(21), about 2.4e10 trees; only three are built
+    words = tokenize("the man saw the dog" + " with the telescope" * 20)
+    r = parse(ambig_grammar, words)
+    first = r.trees(3)
+    assert len(set(first)) == 3
+    assert all(tree_yield(tree) == words for tree in first)
+    assert r.trees(2) == first[:2]
 
 
 def test_no_readings_at_syntax_depth(toy_grammar):

@@ -118,6 +118,40 @@ def test_dispreference_takes_cheapest_derivation():
     assert edge_dispreference(g2, x2) == pytest.approx(0.3)
 
 
+def test_dispreference_cuts_unary_cycles():
+    # b -> a -> b and b -> c -> b are cycles; a cyclic derivation is never
+    # the cheapest, and every edge keeps its cheapest acyclic one
+    g = parse_grammar(
+        "start a()\n"
+        "rule ab : a() -> b()\n"
+        "rule ba : b() -> a()\n"
+        "rule bc : b() -> c()\n"
+        "rule cb : c() -> b()\n"
+        "rule aaw : a() -> a() w()\n"
+        "lex x : a()\n"
+        "lex x : c()\n"
+        "lex w : w()\n"
+        "disprefer ab 0.25\n"
+        "disprefer ba 1.0\n"
+        "disprefer bc 0.75\n"
+        "disprefer cb 0.5\n"
+        "disprefer aaw 0.125\n"
+    )
+    for strategy in ("bu", "llc", "lc"):
+        r = parse(g, ["x", "w"], strategy=strategy)
+        costs = {(e.start, e.end, e.backbone): edge_dispreference(g, e)
+                 for e in r.chart.edges}
+        assert costs == {
+            (0, 1, "a"): 0.0,     # lex
+            (0, 1, "b"): 0.75,    # bc over lex c, cheaper than ba
+            (0, 1, "c"): 0.0,     # lex
+            (1, 2, "w"): 0.0,
+            (0, 2, "a"): 0.125,   # aaw; ab would need b over a again
+            (0, 2, "b"): 1.125,   # ba over aaw; bc needs c over b again
+            (0, 2, "c"): 1.625,   # cb, ba, aaw
+        }, strategy
+
+
 def test_fallback_cost_steers_cover_choice(fragments_grammar):
     r = parse(fragments_grammar, tokenize("list flights"), depth="deferred",
               robust=True)
