@@ -39,7 +39,7 @@ from .semantics import (
     Reading,
 )
 from .tables import STRATEGIES, CompiledTables, compile_tables
-from .terms import FeatureTerm, Restrictor, Var, canonical, subsumes, unify, variants
+from .terms import FeatureTerm, Restrictor, Var, canonical, subsumes, variants
 
 __version__ = "0.1.0"
 
@@ -82,6 +82,5 @@ __all__ = [
     "rescore",
     "subsumes",
     "tokenize",
-    "unify",
     "variants",
 ]

@@ -29,7 +29,6 @@ from .terms import (
     canonical_seq,
     seq_subsumes,
     subsumes,
-    unify_values,
     variants,
 )
 
@@ -245,14 +244,6 @@ class Chart:
                 return False
         # every element can be empty, so the sequence needs no input
         return True
-
-    def predicted(self, cat: FeatureTerm, pos: int) -> bool:
-        """Strict check: does a sequence here start with this category?"""
-        restricted = self.restrictor.restrict(cat)
-        for seq in self.predictions[pos]:
-            if seq and unify_values(seq[0], restricted, {}) is not None:
-                return True
-        return False
 
     def first_backbones(self, pos: int) -> set[str]:
         return {seq[0].backbone for seq in self.predictions[pos] if seq}

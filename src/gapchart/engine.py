@@ -200,9 +200,14 @@ class _Parser:
         self.trace = trace
         self.chart: Chart | None = None
 
-    def _say(self, line: str) -> None:
+    def _say(self, *fields: object) -> None:
+        """Trace one tab-separated line; untraced, nothing is formatted."""
         if self.trace is not None:
-            self.trace(line)
+            self.trace("\t".join(map(str, fields)))
+
+    def _say_edge(self, edge: Edge) -> None:
+        if self.trace is not None:
+            self._say("ADD-EDGE", edge.id, edge.start, edge.end, canonical(edge.cat))
 
     def run(self, words: list[str]) -> ParseResult:
         chart = Chart(words, self.tables, self.grammar.restrictor, self.lookahead)
@@ -216,13 +221,13 @@ class _Parser:
             if not entries:
                 if not self.robust:
                     raise UnknownWordError(word, i + 1)
-                self._say(f"SKIP\t{i}\t{word}")
+                self._say("SKIP", i, word)
             for entry in entries:
                 cat, readings = lexical_instance(self.grammar, entry, self.depth)
                 if readings is None:
                     groups: list[tuple[str | None, list | None]] = [(None, None)]
                 elif not readings:
-                    self._say(f"REJECT\tveto\tlex:{word}\t{i}\t{i + 1}")
+                    self._say("REJECT", "veto", f"lex:{word}", i, i + 1)
                     continue
                 else:
                     groups = group_readings(readings, self.depth)
@@ -231,15 +236,10 @@ class _Parser:
                         i, i + 1, cat, Derivation("lex", word=word), group, key
                     )
                     if outcome in ("new", "replaced"):
-                        self._say(self._edge_line(edge))
+                        self._say_edge(edge)
                         self._process(edge)
             self._empty_fixpoint(i + 1)
         return ParseResult(words, self.grammar, self.tables, chart, self.depth)
-
-    def _edge_line(self, edge: Edge) -> str:
-        return (
-            f"ADD-EDGE\t{edge.id}\t{edge.start}\t{edge.end}\t{canonical(edge.cat)}"
-        )
 
     # -- control -------------------------------------------------------
 
@@ -277,7 +277,7 @@ class _Parser:
                         pos, pos, head, Derivation("empty", rule=rule), group, key
                     )
                     if outcome in ("new", "replaced"):
-                        self._say(self._edge_line(edge))
+                        self._say_edge(edge)
                         changed = True
                         self._process(edge)
 
@@ -285,10 +285,9 @@ class _Parser:
 
     def _predict(self, pos: int, seq: tuple[FeatureTerm, ...]) -> None:
         outcome = self.chart.add_prediction(pos, seq)
-        if outcome == "ok":
-            self._say(f"ADD-PRED\t{pos}\t{canonical_seq(seq)}")
-        elif outcome == "lookahead":
-            self._say(f"REJECT\tlookahead\t{pos}\t{canonical_seq(seq)}")
+        if self.trace is not None and outcome != "duplicate":
+            event = "ADD-PRED" if outcome == "ok" else "REJECT\tlookahead"
+            self._say(event, pos, canonical_seq(seq))
 
     def _make_new_predictions(self, e: Edge) -> None:
         # advance sequences this edge begins
@@ -390,7 +389,7 @@ class _Parser:
             dreadings = [d.readings if d.readings else [] for d in daughters]
             readings = combine_readings(self.grammar, rule, dreadings, self.depth)
             if not readings:
-                self._say(f"REJECT\tveto\t{rule.name}\t{start}\t{end}")
+                self._say("REJECT", "veto", rule.name, start, end)
                 return
             groups = group_readings(readings, self.depth)
         for key, group in groups:
@@ -399,7 +398,7 @@ class _Parser:
                 Derivation("rule", rule=rule, daughters=daughters), group, key,
             )
             if outcome in ("new", "replaced"):
-                self._say(self._edge_line(edge))
+                self._say_edge(edge)
                 yield edge
 
 

@@ -24,8 +24,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .lf import LFApp, LFAtom, Placeholder, SAtom, SFunc, lf_atoms
-from .terms import FeatureTerm, Restrictor, Var
+from .lf import LFApp, Placeholder, SAtom, SFunc, lf_atoms
+from .terms import FeatureTerm, Restrictor, Var, leaves
 
 _TOKEN = re.compile(
     r"'[^']*'|->|-?\d+(?:\.\d+)?|[()\[\],;:=]|[A-Za-z_][A-Za-z0-9_.']*|\S"
@@ -223,9 +223,6 @@ def parse_lf(p: _LineParser, allow_placeholders: bool) -> object | None:
             p.error("empty application []")
             return None
         return LFApp(parts[0], tuple(parts[1:]))
-    if tok.startswith("'"):
-        p.next()
-        return LFAtom(tok)
     if _is_variable(tok):
         p.next()
         if _PLACEHOLDER.match(tok):
@@ -236,7 +233,7 @@ def parse_lf(p: _LineParser, allow_placeholders: bool) -> object | None:
         return p.var(tok)
     if _is_name(tok):
         p.next()
-        return LFAtom(tok)
+        return tok
     p.error(f"expected a logical form, found {tok!r}")
     return None
 
@@ -275,16 +272,6 @@ def parse_sort(p: _LineParser) -> object | None:
         return SAtom(tok)
     p.error(f"expected a sort expression, found {tok!r}")
     return None
-
-
-def _max_placeholder(lf: object) -> int:
-    if isinstance(lf, Placeholder):
-        return lf.index
-    if isinstance(lf, LFApp):
-        return max(
-            (_max_placeholder(x) for x in (lf.functor, *lf.args)), default=0
-        )
-    return 0
 
 
 def parse_grammar(text: str) -> Grammar:
@@ -420,7 +407,7 @@ def parse_grammar(text: str) -> Grammar:
                 p.error(f"unexpected {p.peek()!r} at end of lex line")
                 continue
             if lf is None:
-                lf = LFAtom(word)
+                lf = word
             if semterm is None:
                 semterm = FeatureTerm("sem", tuple(
                     (f, Var(f.upper())) for f in features.get("sem", ())
@@ -505,7 +492,8 @@ def parse_grammar(text: str) -> Grammar:
                 f"line {sem.line}: sem line for unknown rule {sem.rule_name!r}"
             )
             continue
-        maxd = _max_placeholder(sem.template)
+        maxd = max((x.index for x in leaves(sem.template)
+                    if isinstance(x, Placeholder)), default=0)
         if maxd > len(rule.rhs):
             errors.append(
                 f"line {sem.line}: placeholder D{maxd} exceeds the "

@@ -1,21 +1,22 @@
 """Logical forms and sortal types.
 
-A logical form is an atom, a variable, an application `[functor, args…]`,
-or a placeholder standing for a daughter's contribution in a rule
-template. Sort expressions are atomic sorts or function sorts over
-tuples of argument sorts; nesting the result position gives curried
-types, so partial applications are typable.
+A logical form is an atom (a plain string), a variable, an application
+`[functor, args…]`, or a placeholder standing for a daughter's
+contribution in a rule template. Sort expressions are atomic sorts or
+function sorts over tuples of argument sorts; nesting the result
+position gives curried types, so partial applications are typable.
 
 Sort annotations are attached by wrapping LF nodes in `LFAnn` carrying a
-slot. Slots are ordinary logic variables, so annotating, constraining,
-and deferring sort choices all reuse term unification.
+slot. Slots are ordinary logic variables, and function sorts,
+applications and annotations are term-kernel nodes, so annotating,
+constraining, and deferring sort choices all reuse term unification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import Binds, Var, walk
+from .terms import Node, leaves
 
 
 @dataclass(frozen=True)
@@ -28,44 +29,71 @@ class SAtom:
         return f"[{self.name}]"
 
 
-@dataclass(frozen=True)
-class SFunc:
+@dataclass(frozen=True, slots=True, repr=False)
+class SFunc(Node):
     """A function sort: argument sorts to a result sort."""
 
     args: tuple[object, ...]
     res: object
 
-    def __repr__(self) -> str:
-        return f"({self.args}->{self.res})"
+    def children(self) -> tuple[object, ...]:
+        return (*self.args, self.res)
+
+    def map(self, fn, arg) -> "SFunc":
+        return SFunc(tuple([fn(x, arg) for x in self.args]), fn(self.res, arg))
+
+    def pairs(self, other: object):
+        if not isinstance(other, SFunc) or len(other.args) != len(self.args):
+            return None
+        return zip(self.children(), other.children())
+
+    def show(self, fmt, names) -> str:
+        args = ",".join([fmt(x, names) for x in self.args])
+        return f"(({args})->{fmt(self.res, names)})"
 
 
-@dataclass(frozen=True)
-class LFAtom:
-    name: str
+@dataclass(frozen=True, slots=True, repr=False)
+class LFApp(Node):
+    """An application of a functor to arguments."""
 
-    def __repr__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
-class LFApp:
     functor: object
     args: tuple[object, ...]
 
-    def __repr__(self) -> str:
-        inner = ",".join(repr(x) for x in (self.functor, *self.args))
-        return f"[{inner}]"
+    def children(self) -> tuple[object, ...]:
+        return (self.functor, *self.args)
+
+    def map(self, fn, arg) -> "LFApp":
+        return LFApp(fn(self.functor, arg), tuple([fn(x, arg) for x in self.args]))
+
+    def pairs(self, other: object):
+        if not isinstance(other, LFApp) or len(other.args) != len(self.args):
+            return None
+        return zip(self.children(), other.children())
+
+    def show(self, fmt, names) -> str:
+        return f"[{','.join([fmt(x, names) for x in self.children()])}]"
 
 
-@dataclass(frozen=True)
-class LFAnn:
+@dataclass(frozen=True, slots=True, repr=False)
+class LFAnn(Node):
     """A sort-annotated LF node; `slot` holds (or will hold) its sort."""
 
     expr: object
     slot: object
 
-    def __repr__(self) -> str:
-        return f"({self.expr!r};{self.slot!r})"
+    def children(self) -> tuple[object, object]:
+        return (self.expr, self.slot)
+
+    def map(self, fn, arg) -> "LFAnn":
+        return LFAnn(fn(self.expr, arg), fn(self.slot, arg))
+
+    def pairs(self, other: object):
+        if not isinstance(other, LFAnn):
+            return None
+        return ((self.expr, other.expr), (self.slot, other.slot))
+
+    def show(self, fmt, names) -> str:
+        return f"({fmt(self.expr, names)};{fmt(self.slot, names)})"
 
 
 @dataclass(frozen=True)
@@ -78,165 +106,15 @@ class Placeholder:
         return f"D{self.index}"
 
 
-def unify_sorts(a: object, b: object, binds: Binds) -> Binds | None:
-    """Unify two sort expressions under `binds`."""
-    a = walk(a, binds)
-    b = walk(b, binds)
-    if a is b:
-        return binds
-    if isinstance(a, Var):
-        if _sort_occurs(a, b, binds):
-            return None
-        return {**binds, a: b}
-    if isinstance(b, Var):
-        if _sort_occurs(b, a, binds):
-            return None
-        return {**binds, b: a}
-    if isinstance(a, SAtom) and isinstance(b, SAtom):
-        return binds if a.name == b.name else None
-    if isinstance(a, SFunc) and isinstance(b, SFunc):
-        if len(a.args) != len(b.args):
-            return None
-        for x, y in zip(a.args, b.args):
-            binds = unify_sorts(x, y, binds)
-            if binds is None:
-                return None
-        return unify_sorts(a.res, b.res, binds)
-    return None
-
-
-def _sort_occurs(var: Var, value: object, binds: Binds) -> bool:
-    value = walk(value, binds)
-    if isinstance(value, Var):
-        return value is var
-    if isinstance(value, SFunc):
-        return any(_sort_occurs(var, x, binds) for x in value.args) or _sort_occurs(
-            var, value.res, binds
-        )
-    return False
-
-
-def resolve_sort(value: object, binds: Binds) -> object:
-    value = walk(value, binds)
-    if isinstance(value, SFunc):
-        return SFunc(
-            tuple(resolve_sort(x, binds) for x in value.args),
-            resolve_sort(value.res, binds),
-        )
-    return value
-
-
-def resolve_lf(lf: object, binds: Binds) -> object:
-    """Substitute bindings through an LF, including annotation slots."""
-    lf = walk(lf, binds)
-    if isinstance(lf, str):
-        # an LF variable bound through feature unification becomes an atom
-        return LFAtom(lf)
-    if isinstance(lf, LFAnn):
-        return LFAnn(resolve_lf(lf.expr, binds), resolve_sort(lf.slot, binds))
-    if isinstance(lf, LFApp):
-        return LFApp(
-            resolve_lf(lf.functor, binds),
-            tuple(resolve_lf(x, binds) for x in lf.args),
-        )
-    return lf
-
-
-def render_sort(sort: object, names: dict[Var, str] | None = None) -> str:
-    if names is None:
-        names = {}
-    return _render_sort(sort, names)
-
-
-def _render_sort(sort: object, names: dict[Var, str]) -> str:
-    if isinstance(sort, Var):
-        got = names.get(sort)
-        if got is None:
-            got = f"_{len(names) + 1}"
-            names[sort] = got
-        return got
-    if isinstance(sort, SAtom):
-        return f"[{sort.name}]"
-    if isinstance(sort, SFunc):
-        args = ",".join(_render_sort(x, names) for x in sort.args)
-        return f"(({args})->{_render_sort(sort.res, names)})"
-    return repr(sort)
-
-
-def render_lf(lf: object, names: dict[Var, str] | None = None) -> str:
-    """Render an LF; variables (incl. slots) numbered in occurrence order,
-    so render equality is alphabetic-variant equality."""
-    if names is None:
-        names = {}
-    return _render_lf(lf, names)
-
-
-def _render_lf(lf: object, names: dict[Var, str]) -> str:
-    if isinstance(lf, Var):
-        got = names.get(lf)
-        if got is None:
-            got = f"_{len(names) + 1}"
-            names[lf] = got
-        return got
-    if isinstance(lf, LFAtom):
-        return lf.name
-    if isinstance(lf, Placeholder):
-        return f"D{lf.index}"
-    if isinstance(lf, LFApp):
-        inner = ",".join(
-            _render_lf(x, names) for x in (lf.functor, *lf.args)
-        )
-        return f"[{inner}]"
-    if isinstance(lf, LFAnn):
-        return f"({_render_lf(lf.expr, names)};{_render_sort(lf.slot, names)})"
-    return repr(lf)
-
-
 def substitute_placeholders(lf: object, fillers: dict[int, object]) -> object:
     """Replace each Dn placeholder with its filler LF."""
     if isinstance(lf, Placeholder):
         return fillers[lf.index]
-    if isinstance(lf, LFApp):
-        return LFApp(
-            substitute_placeholders(lf.functor, fillers),
-            tuple(substitute_placeholders(x, fillers) for x in lf.args),
-        )
-    if isinstance(lf, LFAnn):
-        return LFAnn(substitute_placeholders(lf.expr, fillers), lf.slot)
-    return lf
-
-
-def refresh_lf(lf: object, mapping: dict[Var, Var]) -> object:
-    """Copy an LF with fresh variables via a shared mapping."""
-    if isinstance(lf, Var):
-        got = mapping.get(lf)
-        if got is None:
-            got = Var(lf.hint)
-            mapping[lf] = got
-        return got
-    if isinstance(lf, LFApp):
-        return LFApp(
-            refresh_lf(lf.functor, mapping),
-            tuple(refresh_lf(x, mapping) for x in lf.args),
-        )
-    if isinstance(lf, LFAnn):
-        return LFAnn(refresh_lf(lf.expr, mapping), refresh_lf(lf.slot, mapping))
+    if isinstance(lf, Node):
+        return lf.map(substitute_placeholders, fillers)
     return lf
 
 
 def lf_atoms(lf: object) -> list[str]:
     """Atom names occurring in an LF, in preorder, with repeats."""
-    out: list[str] = []
-    _collect_atoms(lf, out)
-    return out
-
-
-def _collect_atoms(lf: object, out: list[str]) -> None:
-    if isinstance(lf, LFAtom):
-        out.append(lf.name)
-    elif isinstance(lf, LFApp):
-        _collect_atoms(lf.functor, out)
-        for x in lf.args:
-            _collect_atoms(x, out)
-    elif isinstance(lf, LFAnn):
-        _collect_atoms(lf.expr, out)
+    return [x for x in leaves(lf) if isinstance(x, str)]

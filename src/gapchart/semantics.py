@@ -25,20 +25,7 @@ import itertools
 from dataclasses import dataclass
 
 from .grammar import Grammar, LexEntry, Rule, SemRule
-from .lf import (
-    LFAnn,
-    LFApp,
-    LFAtom,
-    Placeholder,
-    SFunc,
-    refresh_lf,
-    render_lf,
-    render_sort,
-    resolve_lf,
-    resolve_sort,
-    substitute_placeholders,
-    unify_sorts,
-)
+from .lf import LFAnn, LFApp, Placeholder, SFunc, substitute_placeholders
 from .terms import (
     Binds,
     FeatureTerm,
@@ -48,6 +35,10 @@ from .terms import (
     resolve,
     unify_values,
 )
+
+# sort constraints are solved by term unification; the second name keeps
+# sort unification visible as its own entry point
+unify_sorts = unify_values
 
 SYN = "syn"
 SEM = "sem"
@@ -84,10 +75,10 @@ class Reading:
 
     def _render(self) -> str:
         names: dict[Var, str] = {}
-        parts = [canonical(self.semterm, names), "::", render_lf(self.lf, names)]
+        parts = [canonical(self.semterm, names), "::", canonical(self.lf, names)]
         for a in self.deferred:
-            slot_txt = render_sort(a.slot, names)
-            cands = ",".join(render_sort(c, names) for c in a.candidates)
+            slot_txt = canonical(a.slot, names)
+            cands = ",".join([canonical(c, names) for c in a.candidates])
             parts.append(f"? {a.atom}({slot_txt}) in {{{cands}}}")
         return " ".join(parts)
 
@@ -124,14 +115,10 @@ def annotate(lf: object, var_slots: dict[Var, Var]) -> object:
             slot = Var("S")
             var_slots[lf] = slot
         return LFAnn(lf, slot)
-    if isinstance(lf, LFAtom):
+    if isinstance(lf, str):
         return LFAnn(lf, Var("S"))
     if isinstance(lf, LFApp):
-        inner = LFApp(
-            annotate(lf.functor, var_slots),
-            tuple(annotate(x, var_slots) for x in lf.args),
-        )
-        return LFAnn(inner, Var("S"))
+        return LFAnn(lf.map(annotate, var_slots), Var("S"))
     if isinstance(lf, LFAnn):
         return lf
     raise TypeError(f"cannot annotate {lf!r}")
@@ -164,8 +151,8 @@ def _walk_network(node: object, path: tuple[int, ...], binds: Binds | None,
     if not isinstance(node, LFAnn):
         raise TypeError(f"unannotated LF node {node!r}")
     expr = node.expr
-    if isinstance(expr, LFAtom):
-        occs.append(Occurrence(expr.name, path, node.slot))
+    if isinstance(expr, str):
+        occs.append(Occurrence(expr, path, node.slot))
         return binds
     if isinstance(expr, Var):
         return binds
@@ -254,7 +241,7 @@ def normalize_deferred(
     if n == 1:
         return last, ()
     final = tuple(
-        DeferredAssignment(a.atom, a.path, resolve_sort(a.slot, binds), a.candidates)
+        DeferredAssignment(a.atom, a.path, resolve(a.slot, binds), a.candidates)
         for a in current
     )
     return binds, final
@@ -288,7 +275,7 @@ def _finish_sorted(grammar: Grammar, depth: str, lf_ann: object,
         readings: list[Reading] = []
         for final in _enumerate_occurrences(grammar, new_occs, 0, binds):
             readings.append(
-                Reading(resolve_lf(lf_ann, final), resolve(semterm, final))
+                Reading(resolve(lf_ann, final), resolve(semterm, final))
             )
         return readings
 
@@ -310,7 +297,7 @@ def _finish_sorted(grammar: Grammar, depth: str, lf_ann: object,
     if normalized is None:
         return []
     binds, deferred = normalized
-    return [Reading(resolve_lf(lf_ann, binds), resolve(semterm, binds), deferred)]
+    return [Reading(resolve(lf_ann, binds), resolve(semterm, binds), deferred)]
 
 
 def _enumerate_occurrences(grammar: Grammar, occs: list[Occurrence], i: int,
@@ -332,7 +319,7 @@ def lexical_instance(grammar: Grammar, entry: LexEntry,
     cat = refresh(entry.cat, mapping)
     if depth == SYN:
         return cat, None
-    lf = refresh_lf(entry.lf, mapping)
+    lf = refresh(entry.lf, mapping)
     semterm = refresh(entry.semterm, mapping)
     if depth == SEM:
         return cat, [Reading(lf, semterm)]
@@ -369,7 +356,7 @@ def combine_readings(grammar: Grammar, rule: Rule,
 def _apply_sem_rule(grammar: Grammar, sem_rule: SemRule,
                     combo: tuple[Reading, ...], depth: str) -> list[Reading]:
     mapping: dict[Var, Var] = {}
-    template = refresh_lf(sem_rule.template, mapping)
+    template = refresh(sem_rule.template, mapping)
     if sem_rule.head_sem is not None:
         head_sem = refresh(sem_rule.head_sem, mapping)
     else:
@@ -385,7 +372,7 @@ def _apply_sem_rule(grammar: Grammar, sem_rule: SemRule,
         lf = substitute_placeholders(
             template, {i + 1: r.lf for i, r in enumerate(combo)}
         )
-        return [Reading(resolve_lf(lf, binds), resolve(head_sem, binds))]
+        return [Reading(resolve(lf, binds), resolve(head_sem, binds))]
     ann = annotate(template, {})
     ann = substitute_placeholders(
         ann, {i + 1: r.lf for i, r in enumerate(combo)}
@@ -406,7 +393,7 @@ def resolve_reading(reading: Reading) -> list[Reading]:
     seen: set[str] = set()
     for binds in joint_solutions(reading.deferred, {}):
         resolved = Reading(
-            resolve_lf(reading.lf, binds), resolve(reading.semterm, binds)
+            resolve(reading.lf, binds), resolve(reading.semterm, binds)
         )
         if resolved.render not in seen:
             seen.add(resolved.render)

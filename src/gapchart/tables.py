@@ -49,12 +49,6 @@ class CompiledTables:
     empty_rules: tuple[Rule, ...] = ()
     closure_violations: list[tuple[str, str]] = field(default_factory=list)
 
-    def is_cd(self, backbone: str) -> bool:
-        return backbone in self.cd
-
-    def can_begin(self, corner: str, phrase: str) -> bool:
-        return phrase in self.left_corner.get(corner, frozenset())
-
 
 def _all_backbones(grammar: Grammar) -> frozenset[str]:
     out: set[str] = set()

@@ -1,17 +1,21 @@
-"""Feature terms and non-destructive unification.
+"""The term kernel: variables, nodes, and non-destructive unification.
 
-A category is a feature term: a backbone symbol plus named feature values.
-Values are atoms (plain strings), variables, or nested feature terms.
-All operations are non-destructive; bindings live in immutable dicts that
-are extended, never mutated, so failed branches cannot corrupt shared
-structure.
+A value is a variable, an atom, or a `Node`. Feature terms (categories
+and semantic terms), function sorts and logical-form nodes are all
+nodes, so one `unify_values`, `resolve`, `refresh` and `canonical`
+serves every kind. A category is a feature term: a backbone symbol plus
+named feature values, which are atoms (plain strings), variables, or
+nested feature terms. All operations are non-destructive; bindings live
+in immutable dicts that are extended, never mutated, so failed branches
+cannot corrupt shared structure.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 _var_ids = itertools.count(1)
 
@@ -34,8 +38,46 @@ Binds = Mapping[Var, object]
 EMPTY_BINDS: Binds = {}
 
 
-@dataclass(frozen=True)
-class FeatureTerm:
+class Node:
+    """A compound value. Each kind of node supplies four hooks, and the
+    kernel below (`occurs`, `unify_values`, `resolve`, `refresh`,
+    `canonical`, `leaves`) is written once over them, so feature terms,
+    sorts and logical forms share one unification. `map` and `show` take
+    the recursion as an argument, so resolving, copying and printing
+    build no intermediate list of children."""
+
+    __slots__ = ()
+
+    def children(self) -> Iterable[object]:
+        """The child values, in order."""
+        raise NotImplementedError
+
+    def map(self, fn: Callable[[object, object], object], arg: object) -> "Node":
+        """A node of the same kind with each child `c` replaced by `fn(c, arg)`."""
+        raise NotImplementedError
+
+    def pairs(self, other: object) -> Iterable[tuple[object, object]] | None:
+        """The child pairs that must unify for `other` to unify with this
+        node, or None if the two cannot unify at all."""
+        raise NotImplementedError
+
+    def show(self, fmt: Callable[[object, object], str], names: object) -> str:
+        """The printed form, with `fmt(c, names)` printing each child `c`."""
+        raise NotImplementedError
+
+    def __repr__(self) -> str:
+        return self.show(_repr, None)
+
+
+def _repr(value: object, _names: object) -> str:
+    return repr(value)
+
+
+_by_name = operator.itemgetter(0)
+
+
+@dataclass(frozen=True, slots=True, repr=False)
+class FeatureTerm(Node):
     """A backbone symbol with a sorted tuple of (feature, value) pairs."""
 
     backbone: str
@@ -43,7 +85,7 @@ class FeatureTerm:
 
     def __init__(self, backbone: str, feats: Iterable[tuple[str, object]] = ()):
         object.__setattr__(self, "backbone", backbone)
-        object.__setattr__(self, "feats", tuple(sorted(feats, key=lambda fv: fv[0])))
+        object.__setattr__(self, "feats", tuple(sorted(feats, key=_by_name)))
 
     def get(self, name: str) -> object | None:
         for fname, fval in self.feats:
@@ -54,10 +96,21 @@ class FeatureTerm:
     def feature_names(self) -> tuple[str, ...]:
         return tuple(fname for fname, _ in self.feats)
 
-    def __repr__(self) -> str:
-        if not self.feats:
-            return f"{self.backbone}()"
-        inner = ",".join(f"{n}={v!r}" for n, v in self.feats)
+    def children(self) -> Iterable[object]:
+        return [v for _, v in self.feats]
+
+    def map(self, fn, arg) -> "FeatureTerm":
+        return FeatureTerm(self.backbone, [(n, fn(v, arg)) for n, v in self.feats])
+
+    def pairs(self, other: object) -> list[tuple[object, object]] | None:
+        # features missing on either side leave no constraint
+        if not isinstance(other, FeatureTerm) or other.backbone != self.backbone:
+            return None
+        theirs = dict(other.feats)
+        return [(v, theirs[n]) for n, v in self.feats if n in theirs]
+
+    def show(self, fmt, names) -> str:
+        inner = ",".join([f"{n}={fmt(v, names)}" for n, v in self.feats])
         return f"{self.backbone}({inner})"
 
 
@@ -73,15 +126,15 @@ def walk(value: object, binds: Binds) -> object:
 
 def occurs(var: Var, value: object, binds: Binds) -> bool:
     value = walk(value, binds)
-    if isinstance(value, Var):
-        return value is var
-    if isinstance(value, FeatureTerm):
-        return any(occurs(var, fval, binds) for _, fval in value.feats)
-    return False
+    if isinstance(value, Node):
+        return any(occurs(var, child, binds) for child in value.children())
+    return value is var
 
 
 def unify_values(a: object, b: object, binds: Binds) -> Binds | None:
-    """Unify two values under `binds`; return extended binds or None."""
+    """Unify two values under `binds`; return extended binds or None.
+
+    Values are variables, atoms (compared by equality) or nodes."""
     a = walk(a, binds)
     b = walk(b, binds)
     if a is b:
@@ -94,51 +147,24 @@ def unify_values(a: object, b: object, binds: Binds) -> Binds | None:
         if occurs(b, a, binds):
             return None
         return {**binds, b: a}
-    if isinstance(a, str) and isinstance(b, str):
-        return binds if a == b else None
-    if isinstance(a, FeatureTerm) and isinstance(b, FeatureTerm):
-        if a.backbone != b.backbone:
+    if isinstance(a, Node):
+        pairs = a.pairs(b)
+        if pairs is None:
             return None
-        bmap = dict(b.feats)
-        for name, aval in a.feats:
-            if name in bmap:
-                binds = unify_values(aval, bmap[name], binds)
-                if binds is None:
-                    return None
+        for x, y in pairs:
+            binds = unify_values(x, y, binds)
+            if binds is None:
+                return None
         return binds
-    return None
+    return binds if a == b else None
 
 
 def resolve(value: object, binds: Binds) -> object:
     """Substitute bindings throughout, leaving free variables in place."""
     value = walk(value, binds)
-    if isinstance(value, FeatureTerm):
-        return FeatureTerm(
-            value.backbone,
-            tuple((n, resolve(v, binds)) for n, v in value.feats),
-        )
+    if isinstance(value, Node):
+        return value.map(resolve, binds)
     return value
-
-
-def _merge_feats(a: FeatureTerm, b: FeatureTerm) -> FeatureTerm:
-    # union of feature sets; on shared names either side works post-unify,
-    # a's value is kept
-    merged = dict(b.feats)
-    merged.update(dict(a.feats))
-    return FeatureTerm(a.backbone, tuple(merged.items()))
-
-
-def unify(a: FeatureTerm, b: FeatureTerm, binds: Binds = EMPTY_BINDS) -> tuple[FeatureTerm, Binds] | None:
-    """Unify two categories; return (result term, extended binds) or None.
-
-    The result carries the union of both terms' features with bindings
-    applied, so information from either side is preserved.
-    """
-    new_binds = unify_values(a, b, binds)
-    if new_binds is None:
-        return None
-    merged = _merge_feats(a, b)
-    return resolve(merged, new_binds), new_binds
 
 
 def _match(general: object, specific: object, sigma: dict[Var, object]) -> bool:
@@ -203,11 +229,8 @@ def refresh(value: object, mapping: dict[Var, Var]) -> object:
             got = Var(value.hint)
             mapping[value] = got
         return got
-    if isinstance(value, FeatureTerm):
-        return FeatureTerm(
-            value.backbone,
-            tuple((n, refresh(v, mapping)) for n, v in value.feats),
-        )
+    if isinstance(value, Node):
+        return value.map(refresh, mapping)
     return value
 
 
@@ -269,11 +292,8 @@ def _canon(value: object, names: dict[Var, str]) -> str:
         return got
     if isinstance(value, str):
         return value
-    if isinstance(value, FeatureTerm):
-        if not value.feats:
-            return f"{value.backbone}()"
-        inner = ",".join(f"{n}={_canon(v, names)}" for n, v in value.feats)
-        return f"{value.backbone}({inner})"
+    if isinstance(value, Node):
+        return value.show(_canon, names)
     return repr(value)
 
 
@@ -294,10 +314,11 @@ def seq_subsumes(general: Iterable[FeatureTerm], specific: Iterable[FeatureTerm]
     return all(_match(g, s, sigma) for g, s in zip(gen, spc))
 
 
-def iter_vars(value: object) -> Iterator[Var]:
-    """Yield each variable occurrence in preorder (with repeats)."""
-    if isinstance(value, Var):
+def leaves(value: object) -> Iterator[object]:
+    """Yield every value below `value` that is not a node (variables,
+    atoms, placeholders), in preorder and with repeats."""
+    if isinstance(value, Node):
+        for child in value.children():
+            yield from leaves(child)
+    else:
         yield value
-    elif isinstance(value, FeatureTerm):
-        for _, v in value.feats:
-            yield from iter_vars(v)

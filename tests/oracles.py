@@ -13,13 +13,16 @@ import itertools
 import math
 
 from gapchart.grammar import Grammar
+from gapchart.lf import SAtom, SFunc
 from gapchart.terms import FeatureTerm, Var, refresh
 
 # -- substitution-composition unifier -------------------------------------
 #
 # The library unifier threads an immutable binding map and walks chains
-# lazily. This one eagerly applies a substitution dict at every step and
-# extends it by composition, so the two can only agree by both being right.
+# lazily, over one generic node protocol. This one eagerly applies a
+# substitution dict at every step and extends it by composition, with a
+# case per kind of value (feature terms, atomic and function sorts), so
+# the two can only agree by both being right.
 
 
 def apply_subst(subst: dict, value: object) -> object:
@@ -30,6 +33,9 @@ def apply_subst(subst: dict, value: object) -> object:
             value.backbone,
             tuple((n, apply_subst(subst, v)) for n, v in value.feats),
         )
+    if isinstance(value, SFunc):
+        return SFunc(tuple(apply_subst(subst, a) for a in value.args),
+                     apply_subst(subst, value.res))
     return value
 
 
@@ -38,6 +44,8 @@ def _occurs_in(var: Var, value: object) -> bool:
         return value is var
     if isinstance(value, FeatureTerm):
         return any(_occurs_in(var, v) for _, v in value.feats)
+    if isinstance(value, SFunc):
+        return _occurs_in(var, value.res) or any(_occurs_in(var, a) for a in value.args)
     return False
 
 
@@ -68,6 +76,16 @@ def robinson_unify(a: object, b: object, subst: dict | None = None) -> dict | No
                 subst = robinson_unify(aval, bmap[name], subst)
                 if subst is None:
                     return None
+        return subst
+    if isinstance(a, SAtom) and isinstance(b, SAtom):
+        return subst if a.name == b.name else None
+    if isinstance(a, SFunc) and isinstance(b, SFunc):
+        if len(a.args) != len(b.args):
+            return None
+        for x, y in zip((a.res, *a.args), (b.res, *b.args)):
+            subst = robinson_unify(x, y, subst)
+            if subst is None:
+                return None
         return subst
     return None
 

@@ -79,7 +79,7 @@ def test_criterion_03_prediction_suppresses_gap_edges(toy_grammar):
     plain = tokenize("the pilot booked the flight")
     llc = parse(toy_grammar, plain)
     assert [e for e in llc.chart.live_edges()
-            if llc.tables.is_cd(e.backbone)] == []
+            if e.backbone in llc.tables.cd] == []
     bu = parse(toy_grammar, plain, strategy="bu")
     gap_spans = sorted(
         (e.start, e.end) for e in bu.chart.live_edges()
@@ -92,7 +92,7 @@ def test_criterion_03_prediction_suppresses_gap_edges(toy_grammar):
     cd = sorted(
         (e.start, e.end, e.backbone)
         for e in relative.chart.live_edges()
-        if relative.tables.is_cd(e.backbone)
+        if e.backbone in relative.tables.cd
     )
     assert cd == [(3, 6, "s_gap"), (5, 6, "vp_gap"), (6, 6, "np_gap")]
     assert relative.stats.complete == 1
@@ -111,7 +111,7 @@ def test_criterion_04_context_independent_completeness(toy_grammar,
         bu_ci = {
             (e.start, e.end, canonical(e.cat))
             for e in bu.chart.live_edges()
-            if not llc.tables.is_cd(e.backbone)
+            if not e.backbone in llc.tables.cd
         }
         llc_all = edge_signatures(llc)
         assert bu_ci <= llc_all, utt

@@ -121,15 +121,8 @@ def test_prediction_dedup_is_one_directional(chart):
     assert chart.add_prediction(0, general) == "ok"       # not subsumed
     assert chart.add_prediction(0, specific) == "duplicate"  # now covered
     assert chart.preds_created == 2
-
-
-def test_predicted_is_strict_first_element_check(chart):
-    chart.add_prediction(0, (FeatureTerm("np", (("agr", "sg"),)),))
-    assert chart.predicted(FeatureTerm("np", (("agr", "sg"),)), 0)
-    assert chart.predicted(FeatureTerm("np", (("agr", Var("X")),)), 0)
-    assert not chart.predicted(FeatureTerm("np", (("agr", "pl"),)), 0)
-    assert not chart.predicted(FeatureTerm("np"), 1)
     assert chart.first_backbones(0) == {"np"}
+    assert chart.first_backbones(1) == set()
 
 
 def test_lookahead_rejects_impossible_first_word(toy_grammar):

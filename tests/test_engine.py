@@ -14,7 +14,7 @@ def cd_spans(result):
     return sorted(
         (e.start, e.end, e.backbone)
         for e in result.chart.live_edges()
-        if result.tables.is_cd(e.backbone)
+        if e.backbone in result.tables.cd
     )
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from gapchart.grammar import GrammarError, parse_grammar
-from gapchart.lf import LFApp, LFAtom, Placeholder, SAtom, SFunc, render_lf
+from gapchart.lf import LFApp, Placeholder, SAtom, SFunc
 from gapchart.terms import Var, canonical
 
 
@@ -64,13 +64,13 @@ def test_quoted_atoms_keep_quotes():
         "start s()\nrule r : s() ->\nlex boston : s() -> 'BOSTON'\n"
     )
     lf = g.lexicon["boston"][0].lf
-    assert isinstance(lf, LFAtom) and lf.name == "'BOSTON'"
+    assert lf == "'BOSTON'"
 
 
 def test_lexical_lf_defaults_to_the_word():
     g = parse_grammar("start s()\nlex hi : s()\nrule r : s() ->\n")
     lf = g.lexicon["hi"][0].lf
-    assert isinstance(lf, LFAtom) and lf.name == "hi"
+    assert lf == "hi"
 
 
 def test_nested_feature_terms_parse():
@@ -231,7 +231,7 @@ def test_lex_entries_accumulate_per_word():
         "lex bank : s() -> river_bank\nlex bank : s() -> money_bank\n"
     )
     g = parse_grammar(text)
-    assert [render_lf(e.lf) for e in g.lexicon["bank"]] == [
+    assert [canonical(e.lf) for e in g.lexicon["bank"]] == [
         "river_bank", "money_bank",
     ]
 

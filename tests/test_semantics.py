@@ -166,3 +166,28 @@ def test_with_clause_unifies_daughter_semterms():
     assert parse(g, ["k", "m"], depth="sem").stats.complete == 0
     (reading,) = parse(g, ["k", "k"], depth="sem").complete_readings()
     assert reading.render == "sem(idx=a) :: [lfa,lfa]"
+
+
+SEM_NESTED = """
+feature sem idx
+feature c k
+start s()
+rule s1 : s() -> np() vp()
+sem s1 : [D2, D1] with sem() -> sem(idx=c(k=K)) sem()
+lex bob : np() -> X with sem(idx=X)
+lex runs : vp() -> run
+sort run : (thing -> prop)
+"""
+
+
+def test_lf_variable_bound_to_a_term_renders_canonically():
+    # the subject's LF variable is bound to a nested feature term; its
+    # render must number that term's variables like any other, or equal
+    # analyses get different packing keys
+    g = parse_grammar(SEM_NESTED)
+    for depth in ("sem", "sorts", "deferred"):
+        first = renders(parse(g, ["bob", "runs"], depth=depth))
+        assert first == renders(parse(g, ["bob", "runs"], depth=depth)), depth
+        (render,) = first
+        assert "#" not in render and "c(k=_2)" in render, (depth, render)
+    assert first == ["sem(idx=_1) :: ([(run;(([thing])->[prop])),(c(k=_2);[thing])];[prop])"]

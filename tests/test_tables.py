@@ -160,7 +160,7 @@ def test_empty_rules_listed(toy_grammar):
 
 def test_can_begin_uses_closure(toy_grammar):
     tables = compile_tables(toy_grammar, "llc")
-    assert tables.can_begin("det", "s")
-    assert tables.can_begin("np", "s_gap")
-    assert tables.can_begin("s", "s")          # reflexive
-    assert not tables.can_begin("v", "np")
+    assert "s" in tables.left_corner["det"]
+    assert "s_gap" in tables.left_corner["np"]
+    assert "s" in tables.left_corner["s"]          # reflexive
+    assert "np" not in tables.left_corner["v"]

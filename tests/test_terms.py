@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from gapchart.lf import LFAnn, LFApp, Placeholder, SAtom, SFunc
+from gapchart.semantics import unify_sorts
 from gapchart.terms import (
     EMPTY_BINDS,
     FeatureTerm,
@@ -11,12 +13,11 @@ from gapchart.terms import (
     Var,
     canonical,
     canonical_seq,
-    iter_vars,
+    leaves,
     refresh,
     resolve,
     seq_subsumes,
     subsumes,
-    unify,
     unify_values,
     variants,
 )
@@ -50,6 +51,10 @@ def random_term(rng: random.Random, depth: int = 2,
         rng.choice(BACKBONES),
         tuple((n, random_value(rng, depth, pool)) for n in names),
     )
+
+
+def _vars(value: object) -> list[Var]:
+    return [v for v in leaves(value) if isinstance(v, Var)]
 
 
 def generalize(rng: random.Random, value: object, pool: list[Var]) -> object:
@@ -87,6 +92,71 @@ def test_unify_verdicts_agree_with_oracle():
     assert successes > 50 and failures > 50
 
 
+SORT_ATOMS = [SAtom("e"), SAtom("t"), SAtom("city")]
+
+
+def random_sort(rng: random.Random, depth: int, pool: list[Var]) -> object:
+    roll = rng.random()
+    if roll < 0.3 or depth <= 0:
+        return rng.choice(SORT_ATOMS)
+    if roll < 0.6:
+        if pool and rng.random() < 0.7:
+            return rng.choice(pool)
+        var = Var("S")
+        pool.append(var)
+        return var
+    args = tuple(random_sort(rng, depth - 1, pool) for _ in range(rng.randint(1, 2)))
+    return SFunc(args, random_sort(rng, depth - 1, pool))
+
+
+def test_sort_unify_agrees_with_oracle():
+    # a and b draw on one variable pool, so they share variables; every
+    # fifth pair unifies a variable with a function sort that contains it
+    rng = random.Random(20261018)
+    successes = failures = cyclic = 0
+    for i in range(600):
+        pool: list[Var] = []
+        a = random_sort(rng, 3, pool)
+        b = random_sort(rng, 3, pool)
+        if i % 5 == 0:
+            a = Var("S")
+            b = SFunc((random_sort(rng, 1, pool),), SFunc((a,), rng.choice(SORT_ATOMS)))
+            cyclic += 1
+        impl = unify_sorts(a, b, EMPTY_BINDS)
+        oracle = robinson_unify(a, b)
+        assert (impl is None) == (oracle is None), (a, b)
+        if impl is None:
+            failures += 1
+            continue
+        successes += 1
+        assert canonical(resolve(a, impl)) == canonical(apply_subst(oracle, a))
+        assert canonical(resolve(b, impl)) == canonical(apply_subst(oracle, b))
+        assert canonical(resolve(a, impl)) == canonical(resolve(b, impl))
+    assert successes > 100 and failures - cyclic > 100 and cyclic == 120
+
+
+def test_occurs_check_blocks_cyclic_sort():
+    s = Var("S")
+    assert unify_sorts(s, SFunc((SAtom("e"),), SFunc((s,), SAtom("t"))), EMPTY_BINDS) is None
+    assert unify_sorts(s, SFunc((SAtom("e"),), SAtom("t")), EMPTY_BINDS) is not None
+
+
+def test_one_kernel_serves_every_kind_of_node():
+    x, s = Var("X"), Var("S")
+    lf = LFAnn(LFApp("see", (x, Placeholder(1))), SFunc((s,), SAtom("t")))
+    assert canonical(lf) == "([see,_1,D1];((_2)->[t]))"
+    assert list(leaves(lf)) == ["see", x, Placeholder(1), s, SAtom("t")]
+    copy = refresh(lf, {})
+    assert canonical(copy) == canonical(lf) and copy.expr.args[0] is not x
+    binds = unify_values(lf, copy, EMPTY_BINDS)
+    assert canonical(resolve(lf, binds)) == canonical(lf)
+    term = FeatureTerm("c", (("k", "v"),))
+    bound = resolve(lf, {x: term, s: SAtom("e")})
+    assert canonical(bound) == "([see,c(k=v),D1];(([e])->[t]))"
+    assert unify_values(LFApp("f", (x,)), LFApp("f", (x, x)), EMPTY_BINDS) is None
+    assert unify_values(lf, term, EMPTY_BINDS) is None
+
+
 def test_unify_succeeds_on_constructed_common_instance():
     rng = random.Random(1)
     for _ in range(400):
@@ -99,23 +169,15 @@ def test_unify_succeeds_on_constructed_common_instance():
             continue
         binds = unify_values(a, b, EMPTY_BINDS)
         assert binds is not None, (a, b, ground)
-        # the merged result must still match the common instance it came from
-        merged, binds2 = unify(a, b)
-        assert robinson_unify(merged, ground) is not None
+        # the unified terms must still match the common instance they came from
+        assert robinson_unify(resolve(a, binds), ground) is not None
+        assert robinson_unify(resolve(b, binds), ground) is not None
 
 
 def test_unify_atom_clash_fails():
     va = FeatureTerm("a", (("f", "x"),))
     vb = FeatureTerm("a", (("f", "y"),))
     assert unify_values(va, vb, EMPTY_BINDS) is None
-    assert unify(va, vb) is None
-
-
-def test_unify_union_merges_features():
-    left = FeatureTerm("a", (("f", "x"),))
-    right = FeatureTerm("a", (("g", "y"),))
-    merged, _ = unify(left, right)
-    assert merged.get("f") == "x" and merged.get("g") == "y"
 
 
 def test_occurs_check_blocks_cyclic_binding():
@@ -141,7 +203,7 @@ def test_subsumes_holds_for_constructed_instances():
     for _ in range(400):
         pool: list[Var] = []
         general = random_term(rng, 2, pool)
-        subst = {v: rng.choice(ATOMS) for v in set(iter_vars(general))}
+        subst = {v: rng.choice(ATOMS) for v in set(_vars(general))}
         specific = apply_subst(subst, general)
         # adding extra features keeps it an instance
         extra = dict(specific.feats)
@@ -186,7 +248,7 @@ def test_refresh_produces_disjoint_variant():
         mapping: dict[Var, Var] = {}
         b = refresh(a, mapping)
         assert variants(a, b)
-        assert set(iter_vars(a)).isdisjoint(set(iter_vars(b)))
+        assert set(_vars(a)).isdisjoint(set(_vars(b)))
 
 
 def test_refresh_shared_mapping_preserves_sharing():
