@@ -82,9 +82,10 @@ class Edge:
         return self.start == self.end
 
     def add_derivation(self, d: Derivation) -> bool:
-        if d.key in self._deriv_keys:
+        key = d.key
+        if key in self._deriv_keys:
             return False
-        self._deriv_keys.add(d.key)
+        self._deriv_keys.add(key)
         self.derivations.append(d)
         return True
 
@@ -168,6 +169,7 @@ class Chart:
         self.predictions: dict[int, list[tuple[FeatureTerm, ...]]] = {
             i: [] for i in range(n_words + 1)
         }
+        self._first_backbones: dict[int, set[str]] = {i: set() for i in range(n_words + 1)}
         self._by_end: dict[int, list[Edge]] = {i: [] for i in range(n_words + 1)}
         self._by_group: dict[tuple, list[Edge]] = {}
         self.edges_created = 0
@@ -230,6 +232,8 @@ class Chart:
             if seq_subsumes(existing, seq):
                 return "duplicate"
         self.predictions[pos].append(seq)
+        if seq:
+            self._first_backbones[pos].add(seq[0].backbone)
         self.preds_created += 1
         return "ok"
 
@@ -246,7 +250,9 @@ class Chart:
         return True
 
     def first_backbones(self, pos: int) -> set[str]:
-        return {seq[0].backbone for seq in self.predictions[pos] if seq}
+        """The backbones that begin a sequence predicted at `pos` (the
+        chart's own set: read it, do not change it)."""
+        return self._first_backbones[pos]
 
     # -- reporting -----------------------------------------------------
 

@@ -10,6 +10,11 @@ added to a fixpoint at every string position.
 A reduced phrase is licensed when its category is context-independent,
 or when it can begin a phrase anticipated at its start position (every
 category can begin itself, so directly predicted phrases are covered).
+
+Grammar rules and prediction entries are unified as stored, against
+chart categories that never contain a rule's variables. Only a match
+that succeeds is copied: the new category or predicted sequence is
+resolved and then renamed once, so the chart holds renamed copies only.
 """
 
 from __future__ import annotations
@@ -262,9 +267,9 @@ class _Parser:
         while changed:
             changed = False
             for rule in self.tables.empty_rules:
-                head = refresh(rule.head, {})
-                if not self._licensed(head.backbone, pos):
+                if not self._licensed(rule.head.backbone, pos):
                     continue
+                head = refresh(rule.head, {})
                 if self.depth == SYN:
                     groups: list[tuple[str | None, list | None]] = [(None, None)]
                 else:
@@ -306,19 +311,18 @@ class _Parser:
                 entry.head.backbone, e.start
             ):
                 continue
-            mapping: dict = {}
-            trigger = refresh(entry.trigger, mapping)
-            fresh_seq = tuple(refresh(t, mapping) for t in entry.seq)
-            binds = unify_values(trigger, e.cat, {})
+            binds = unify_values(entry.trigger, e.cat, {})
             if binds is None:
                 continue
-            self._predict(e.end, tuple(resolve(t, binds) for t in fresh_seq))
+            mapping: dict = {}
+            self._predict(e.end, tuple(refresh(resolve(t, binds), mapping)
+                                       for t in entry.seq))
 
     def _licensed(self, backbone: str, pos: int) -> bool:
         if backbone not in self.tables.cd:
             return True
         corners = self.tables.left_corner.get(backbone, frozenset())
-        return any(fb in corners for fb in self.chart.first_backbones(pos))
+        return not corners.isdisjoint(self.chart.first_backbones(pos))
 
     # -- reductions ----------------------------------------------------
 
@@ -327,19 +331,17 @@ class _Parser:
             trailing = rule.rhs[pos + 1 :]
             if trailing and not self.chart.empty_edges_at(e.end):
                 continue
-            mapping: dict = {}
-            head = refresh(rule.head, mapping)
-            rhs = tuple(refresh(t, mapping) for t in rule.rhs)
-            binds = unify_values(rhs[pos], e.cat, {})
+            binds = unify_values(rule.rhs[pos], e.cat, {})
             if binds is None:
                 continue
-            for binds2, after in self._match_trailing(rhs[pos + 1 :], e.end, binds):
-                for binds3, before in self._match_tail(rhs[:pos], e.start, binds2):
+            for binds2, after in self._match_trailing(trailing, e.end, binds):
+                for binds3, before in self._match_tail(rule.rhs[:pos], e.start, binds2):
                     daughters = (*before, e, *after)
                     span_start = daughters[0].start
                     if not self._licensed(rule.head.backbone, span_start):
                         continue
-                    head_cat = resolve(head, binds3)
+                    # the rename keeps the rule's own variables out of the chart
+                    head_cat = refresh(resolve(rule.head, binds3), {})
                     yield from self._attach(rule, head_cat, daughters, span_start, e.end)
 
     def _match_tail(self, elems: tuple[FeatureTerm, ...], end: int,

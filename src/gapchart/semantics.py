@@ -154,7 +154,9 @@ def _walk_network(node: object, path: tuple[int, ...], binds: Binds | None,
     if isinstance(expr, str):
         occs.append(Occurrence(expr, path, node.slot))
         return binds
-    if isinstance(expr, Var):
+    if isinstance(expr, (Var, FeatureTerm)):
+        # a feature term reaches the LF only through a variable bound in
+        # a `with` clause; like the variable it is an unconstrained leaf
         return binds
     if isinstance(expr, LFApp):
         functor = expr.functor

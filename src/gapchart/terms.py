@@ -99,8 +99,17 @@ class FeatureTerm(Node):
     def children(self) -> Iterable[object]:
         return [v for _, v in self.feats]
 
+    @classmethod
+    def _of_sorted(cls, backbone: str, feats: tuple[tuple[str, object], ...]) -> "FeatureTerm":
+        # the features are already in name order, so `__init__`'s sort is skipped
+        term = object.__new__(cls)
+        object.__setattr__(term, "backbone", backbone)
+        object.__setattr__(term, "feats", feats)
+        return term
+
     def map(self, fn, arg) -> "FeatureTerm":
-        return FeatureTerm(self.backbone, [(n, fn(v, arg)) for n, v in self.feats])
+        return FeatureTerm._of_sorted(
+            self.backbone, tuple([(n, fn(v, arg)) for n, v in self.feats]))
 
     def pairs(self, other: object) -> list[tuple[object, object]] | None:
         # features missing on either side leave no constraint
@@ -269,7 +278,7 @@ class Restrictor:
             if sub and isinstance(val, FeatureTerm):
                 val = self._apply(val, sub)
             kept.append((name, val))
-        return FeatureTerm(term.backbone, tuple(kept))
+        return FeatureTerm._of_sorted(term.backbone, tuple(kept))
 
 
 def canonical(value: object, names: dict[Var, str] | None = None) -> str:

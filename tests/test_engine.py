@@ -7,7 +7,7 @@ import pytest
 
 from gapchart.engine import ConfigError, UnknownWordError, parse, tokenize
 from gapchart.grammar import parse_grammar
-from gapchart.terms import canonical, canonical_seq
+from gapchart.terms import Var, canonical, canonical_seq, leaves
 
 
 def cd_spans(result):
@@ -117,6 +117,30 @@ def test_empty_edge_existing_before_daughter_still_completes():
     r = parse(g, ["w"], strategy="bu")
     assert r.stats.complete == 1
     assert r.trees() == ["(top (s_r (x_r (d_e)) (c_e)) w)"]
+
+
+UNBOUND_HEAD_FEATURE = """
+feature t f
+start s()
+rule tx : t() -> w()
+rule s2 : s() -> t(f=a) t(f=b)
+lex x : w()
+"""
+
+
+@pytest.mark.parametrize("strategy", ["bu", "llc", "lc"])
+def test_chart_holds_no_variable_of_a_grammar_rule(strategy):
+    # rules are unified as stored, so every category and prediction the
+    # chart keeps must be renamed; were the two t edges to share the
+    # rule's unbound head variable f, binding it to a would block b
+    g = parse_grammar(UNBOUND_HEAD_FEATURE)
+    r = parse(g, ["x", "x"], strategy=strategy)
+    assert r.trees() == ["(s2 (tx x) (tx x))"]
+    rule_vars = {v for rule in g.rules for t in (rule.head, *rule.rhs)
+                 for v in leaves(t) if isinstance(v, Var)}
+    stored = [e.cat for e in r.chart.edges]
+    stored += [t for seqs in r.chart.predictions.values() for seq in seqs for t in seq]
+    assert not rule_vars & {v for t in stored for v in leaves(t)}
 
 
 def test_unknown_word_strict_mode_raises(toy_grammar):

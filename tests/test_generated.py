@@ -1,0 +1,175 @@
+"""Differential test on seeded random grammars: under every strategy the
+packed forest holds exactly the trees the exhaustive oracle parser finds.
+
+The generated grammars declare features on some backbones, share
+variables between daughters and the head, nest feature terms in feature
+values, give heads variables no daughter binds, have empty rules, and
+declare a context-dependent set closed under possible-left-corner-of.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from gapchart.engine import parse
+from gapchart.grammar import Grammar, parse_grammar
+from gapchart.tables import compile_tables
+from oracles import exhaustive_parse
+
+# Phrase backbones, highest first. A rule's daughters come from lower
+# phrases, the preterminals and the empty category `e`; the one way back
+# up is `X -> X p` (or `q`), which consumes a word. So every span has
+# finitely many trees, as the oracle requires.
+PHRASES = ("s", "a", "b")
+PRETERMINALS = ("p", "q")
+EMPTY = "e"
+WORDS = ("x", "y", "z")
+ATOMS = ("u", "v")
+SHARED = ("A", "B")  # variables reused across the terms of one line
+HEAD_ONLY = "H"  # a head variable no daughter binds
+
+
+def _value(rng: random.Random, variables: tuple[str, ...]) -> str:
+    roll = rng.random()
+    if roll < 0.35:
+        return rng.choice(ATOMS)
+    if roll < 0.8:
+        return rng.choice(variables)
+    return f"n(k={rng.choice(ATOMS + variables)})"
+
+
+def _term(rng: random.Random, backbone: str, features: dict[str, tuple[str, ...]],
+          variables: tuple[str, ...]) -> str:
+    given = [f"{f}={_value(rng, variables)}"
+             for f in features.get(backbone, ()) if rng.random() < 0.6]
+    return f"{backbone}({','.join(given)})"
+
+
+def _daughter(rng: random.Random, level: int) -> str:
+    return rng.choice(PHRASES[level + 1:] + PRETERMINALS + (EMPTY,))
+
+
+def random_grammar_text(rng: random.Random) -> str:
+    features = {"n": ("k",)}
+    for backbone in PHRASES + PRETERMINALS + (EMPTY,):
+        features[backbone] = ("f", "g")[:rng.choice((0, 1, 1, 2))]
+    lines = [f"feature {b} {' '.join(fs)}" for b, fs in features.items() if fs]
+    lines.append(f"start {_term(rng, 's', features, ATOMS)}")
+    rules = []
+    for level, head in enumerate(PHRASES):
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.2:
+                rhs = [head, rng.choice(PRETERMINALS)]
+            else:
+                rhs = [_daughter(rng, level) for _ in range(rng.randint(1, 3))]
+            rules.append((head, rhs))
+    rules += [(EMPTY, []) for _ in range(rng.randint(0, 2))]
+    for i, (head, rhs) in enumerate(rules):
+        head_term = _term(rng, head, features, SHARED + (HEAD_ONLY,))
+        daughters = " ".join(_term(rng, d, features, SHARED) for d in rhs)
+        lines.append(f"rule r{i} : {head_term} -> {daughters}".rstrip())
+    for word, pre in zip(WORDS, PRETERMINALS + (rng.choice(PRETERMINALS),)):
+        lines.append(f"lex {word} : {_term(rng, pre, features, ATOMS + ('_',))}")
+    return "\n".join(lines) + "\n"
+
+
+def closed_cd(grammar: Grammar, seed_set: set[str]) -> set[str]:
+    """The smallest superset of `seed_set` closed under
+    possible-left-corner-of (whatever a member can begin is a member)."""
+    begins = compile_tables(grammar, "bu").left_corner
+    cd = set(seed_set)
+    todo = list(cd)
+    while todo:
+        for phrase in begins.get(todo.pop(), ()):
+            if phrase not in cd:
+                cd.add(phrase)
+                todo.append(phrase)
+    return cd
+
+
+def random_grammar(rng: random.Random) -> Grammar:
+    text = random_grammar_text(rng)
+    grammar = parse_grammar(text)
+    used = sorted(compile_tables(grammar, "bu").backbones - {"n"})
+    cd = closed_cd(grammar, set(rng.sample(used, rng.randint(1, 2))))
+    return parse_grammar(text + f"cd {' '.join(sorted(cd))}\n")
+
+
+def random_words(rng: random.Random, grammar: Grammar, max_len: int = 4) -> list[str]:
+    """Half the time any words; otherwise the yield of a random
+    derivation of the backbones, which features may still reject."""
+    if rng.random() < 0.5:
+        return [rng.choice(WORDS) for _ in range(rng.randint(0, max_len))]
+    words_of: dict[str, list[str]] = {}
+    for word, entries in grammar.lexicon.items():
+        for entry in entries:
+            words_of.setdefault(entry.cat.backbone, []).append(word)
+    rules_of: dict[str, list] = {}
+    for rule in grammar.rules:
+        rules_of.setdefault(rule.head.backbone, []).append(rule)
+    out: list[str] = []
+    todo = [grammar.start.backbone]
+    for _ in range(4 * max_len):  # bounded: `X -> X p` can recur forever
+        if not todo or len(out) > max_len:
+            break
+        backbone = todo.pop()
+        if backbone in words_of:
+            out.append(rng.choice(words_of[backbone]))
+        elif backbone in rules_of:
+            todo.extend(d.backbone for d in reversed(rng.choice(rules_of[backbone]).rhs))
+    return out[:max_len]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_generated_grammar_forest_matches_exhaustive_oracle(seed):
+    rng = random.Random(seed)
+    grammar = random_grammar(rng)
+    for words in [random_words(rng, grammar) for _ in range(6)]:
+        oracle = sorted(exhaustive_parse(grammar, words))
+        for strategy in ("bu", "llc", "lc"):
+            assert sorted(parse(grammar, words, strategy=strategy).trees()) == oracle, (
+                strategy, words)
+
+
+# Known disagreements with the oracle: one minimal grammar for each kind
+# that a wider seed sweep turns up (about 2% of generated inputs). They
+# are strict, so a fix shows as a failure until its marker is removed.
+KNOWN_DEFECTS = [
+    pytest.param(
+        "feature s f\nstart s(f=v)\nrule r0 : s() -> p()\nrule r1 : s(f=u) -> p()\n"
+        "lex x : p()\n", "x", id="packed-derivation-unpacked-under-general-category",
+        marks=pytest.mark.xfail(strict=True, reason=(
+            "s(f=u) packs into the more general s(f=_) edge, so (r1 x) is read "
+            "off an edge that fits the start s(f=v) though r1's own category does not"))),
+    pytest.param(
+        "feature s f\nstart t()\nrule r0 : s(f=u) -> p()\nrule r1 : s() -> p()\n"
+        "rule top : t() -> s(f=u) q()\nlex x : p()\nlex y : q()\n", "x y",
+        id="replaced-edge-derivations-lost-to-later-parents",
+        marks=pytest.mark.xfail(strict=True, reason=(
+            "s(f=_) replaces s(f=u); parents built later see only the live edge, "
+            "so (top (r0 x) y) is lost"))),
+    pytest.param(
+        "feature e f\nstart a()\nrule r2 : a() -> e()\nrule r4 : e(f=u) ->\n"
+        "rule r5 : e() ->\nlex x : a()\n", "", id="replaced-empty-edge-tree-twice",
+        marks=pytest.mark.xfail(strict=True, reason=(
+            "the re-offered r4 packs into the e(f=_) edge that replaced its own, "
+            "so (r2 (r4)) comes once through each"))),
+    pytest.param(
+        "start s()\ncd e b\nrule rc : c() -> p() e()\nrule r0 : s() -> c() e() b()\n"
+        "rule rb : b() -> e()\nrule re : e() ->\nlex x : p()\n", "x",
+        id="prediction-after-empty-edges-at-its-position",
+        marks=pytest.mark.xfail(strict=True, reason=(
+            "(e b) is predicted at 1 after the empty e there was processed, so "
+            "the e never advances it and b is never licensed at 1 (llc, lc)"))),
+]
+
+
+@pytest.mark.parametrize("text, utterance", KNOWN_DEFECTS)
+def test_known_defects_against_exhaustive_oracle(text, utterance):
+    grammar = parse_grammar(text)
+    words = utterance.split()
+    oracle = sorted(exhaustive_parse(grammar, words))
+    for strategy in ("bu", "llc", "lc"):
+        assert sorted(parse(grammar, words, strategy=strategy).trees()) == oracle, strategy

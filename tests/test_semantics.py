@@ -191,3 +191,32 @@ def test_lf_variable_bound_to_a_term_renders_canonically():
         (render,) = first
         assert "#" not in render and "c(k=_2)" in render, (depth, render)
     assert first == ["sem(idx=_1) :: ([(run;(([thing])->[prop])),(c(k=_2);[thing])];[prop])"]
+
+
+SEM_NESTED_IN_PHRASE = """
+feature sem idx
+feature c k
+start t()
+rule top : t() -> s()
+rule s1 : s() -> np() vp()
+sem top : [say, D1]
+sem s1 : [D2, D1] with sem() -> sem(idx=c(k=K)) sem()
+lex bob : np() -> X with sem(idx=X)
+lex runs : vp() -> run
+sort run : (thing -> prop)
+sort say : (prop -> prop)
+sort c : thing
+"""
+
+
+def test_lf_variable_bound_to_a_term_inside_a_larger_phrase():
+    # above s1 the subject's LF is the feature term itself, which the
+    # sort network must take as an unconstrained leaf
+    g = parse_grammar(SEM_NESTED_IN_PHRASE)
+    results = {depth: parse(g, ["bob", "runs"], depth=depth)
+               for depth in ("syn", "sem", "sorts", "deferred")}
+    for depth, result in results.items():
+        assert result.trees() == ["(top (s1 bob runs))"], depth
+    assert renders(results["sem"]) == ["sem(idx=_1) :: [say,[run,c(k=_2)]]"]
+    assert len(renders(results["sorts"])) == 1
+    assert renders(results["deferred"]) == renders(results["sorts"])
