@@ -15,6 +15,14 @@ Grammar rules and prediction entries are unified as stored, against
 chart categories that never contain a rule's variables. Only a match
 that succeeds is copied: the new category or predicted sequence is
 resolved and then renamed once, so the chart holds renamed copies only.
+
+Semantic work is memoised on the compiled tables, so every parse made
+with one set of tables shares it: a lexical entry's readings are keyed
+by word, entry and depth, and a reading combination by rule, depth, the
+daughters' reading renders and which daughter positions one edge fills.
+Every use, the first included, puts renamed copies into the chart (a
+reading without variables is its own copy), so no two readings of a
+chart share a variable; that is what makes the key exact.
 """
 
 from __future__ import annotations
@@ -42,6 +50,10 @@ from .tables import CompiledTables, compile_tables
 from .terms import FeatureTerm, canonical, canonical_seq, refresh, resolve, unify_values
 
 TraceFn = Callable[[str], None]
+
+# the memo is cleared when it holds this many entries; one 10-best list
+# of the rescoring benchmark fills a few dozen
+MEMO_LIMIT = 256
 
 
 class ConfigError(Exception):
@@ -227,15 +239,17 @@ class _Parser:
                 if not self.robust:
                     raise UnknownWordError(word, i + 1)
                 self._say("SKIP", i, word)
-            for entry in entries:
-                cat, readings = lexical_instance(self.grammar, entry, self.depth)
+            for index, entry in enumerate(entries):
+                cat = refresh(entry.cat, {})
+                readings = self._recall((word, index, self.depth),
+                                        lexical_instance, entry)
                 if readings is None:
                     groups: list[tuple[str | None, list | None]] = [(None, None)]
                 elif not readings:
                     self._say("REJECT", "veto", f"lex:{word}", i, i + 1)
                     continue
                 else:
-                    groups = group_readings(readings, self.depth)
+                    groups = group_readings(_renamed(readings), self.depth)
                 for key, group in groups:
                     edge, outcome = chart.add_edge(
                         i, i + 1, cat, Derivation("lex", word=word), group, key
@@ -245,6 +259,28 @@ class _Parser:
                         self._process(edge)
             self._empty_fixpoint(i + 1)
         return ParseResult(words, self.grammar, self.tables, chart, self.depth)
+
+    # -- memoised semantics ----------------------------------------------
+
+    def _recall(self, key: tuple, compute: Callable, *args: object):
+        """The memoised `compute(grammar, *args, depth)`: the stored value,
+        which callers copy before it reaches the chart."""
+        memo = self.tables.memo
+        got = memo.get(key, memo)  # None is a value: syn has no readings
+        if got is memo:
+            if len(memo) >= MEMO_LIMIT:
+                memo.clear()
+            got = memo[key] = compute(self.grammar, *args, self.depth)
+        return got
+
+    def _combine(self, rule: Rule, daughters: tuple[Edge, ...]) -> list[Reading]:
+        dreadings = [d.readings if d.readings else [] for d in daughters]
+        # one edge may fill two daughter positions (an empty edge can), and
+        # then both positions share its variables: the key says which do
+        key = (rule.name, self.depth,
+               tuple([tuple([r.render for r in rs]) for rs in dreadings]),
+               tuple([daughters.index(d) for d in daughters]))
+        return _renamed(self._recall(key, combine_readings, rule, dreadings))
 
     # -- control -------------------------------------------------------
 
@@ -273,7 +309,7 @@ class _Parser:
                 if self.depth == SYN:
                     groups: list[tuple[str | None, list | None]] = [(None, None)]
                 else:
-                    readings = combine_readings(self.grammar, rule, [], self.depth)
+                    readings = self._combine(rule, ())
                     if not readings:
                         continue
                     groups = group_readings(readings, self.depth)
@@ -388,8 +424,7 @@ class _Parser:
         if self.depth == SYN:
             groups: list[tuple[str | None, list | None]] = [(None, None)]
         else:
-            dreadings = [d.readings if d.readings else [] for d in daughters]
-            readings = combine_readings(self.grammar, rule, dreadings, self.depth)
+            readings = self._combine(rule, daughters)
             if not readings:
                 self._say("REJECT", "veto", rule.name, start, end)
                 return
@@ -404,6 +439,10 @@ class _Parser:
                 yield edge
 
 
+def _renamed(readings: list[Reading]) -> list[Reading]:
+    return [r.renamed() for r in readings]
+
+
 def tokenize(utterance: str) -> list[str]:
     """Whitespace tokenization; grammars are written over word tokens."""
     return utterance.split()
@@ -413,7 +452,12 @@ def parse(grammar: Grammar, words: list[str], *, strategy: str = "llc",
           depth: str = SYN, lookahead: bool = True, robust: bool = False,
           trace: TraceFn | None = None,
           tables: CompiledTables | None = None) -> ParseResult:
-    """Parse one utterance and return the finished chart."""
+    """Parse one utterance and return the finished chart.
+
+    `tables` are compiled from `grammar` when not given. Passing the same
+    tables to many parses shares their semantic work: lexical readings
+    and reading combinations are memoised on the tables, for every depth.
+    """
     if depth not in DEPTHS:
         raise ConfigError(f"unknown depth {depth!r}; expected one of {DEPTHS}")
     if tables is None:

@@ -14,6 +14,8 @@ The format is line-oriented; `#` starts a comment. Line kinds:
 
 Identifiers starting with an uppercase letter are variables, `_` is a
 fresh anonymous variable, and quoted tokens like 'BOSTON' are atoms.
+No other identifier may start with `_`: renders name variables `_1`,
+`_2`, ..., and an atom spelled that way would render like one.
 Variables are scoped to their line. Backbones have fixed arity: every
 term is normalized to its backbone's declared features, filling missing
 ones with fresh variables; mentioning an undeclared feature is an error.
@@ -319,6 +321,10 @@ def parse_grammar(text: str) -> Grammar:
         tokens = _TOKEN.findall(line)
         kind = tokens[0]
         p = _LineParser(tokens[1:], lineno, errors)
+        for tok in tokens:
+            if tok.startswith("_") and tok != "_":
+                p.error(f"{tok!r}: only the variable '_' may start with '_' "
+                        "(renders name variables _1, _2, ...)")
         if kind == "feature":
             continue
         elif kind == "start":
@@ -407,6 +413,9 @@ def parse_grammar(text: str) -> Grammar:
                 p.error(f"unexpected {p.peek()!r} at end of lex line")
                 continue
             if lf is None:
+                if word.startswith("_"):
+                    p.error(f"word {word!r} starts with '_' and needs a logical form")
+                    continue
                 lf = word
             if semterm is None:
                 semterm = FeatureTerm("sem", tuple(

@@ -64,23 +64,44 @@ class Reading:
     """One semantic analysis of an edge: a logical form, a semantic
     feature term, and any deferred sort assignments."""
 
-    __slots__ = ("lf", "semterm", "deferred", "render")
+    __slots__ = ("lf", "semterm", "deferred", "render", "ground")
 
     def __init__(self, lf: object, semterm: FeatureTerm,
                  deferred: tuple[DeferredAssignment, ...] = ()):
         self.lf = lf
         self.semterm = semterm
         self.deferred = deferred
-        self.render = self._render()
-
-    def _render(self) -> str:
         names: dict[Var, str] = {}
+        self.render = self._render(names)
+        # the render names every variable of the reading
+        self.ground = not names
+
+    def _render(self, names: dict[Var, str]) -> str:
         parts = [canonical(self.semterm, names), "::", canonical(self.lf, names)]
         for a in self.deferred:
             slot_txt = canonical(a.slot, names)
             cands = ",".join([canonical(c, names) for c in a.candidates])
             parts.append(f"? {a.atom}({slot_txt}) in {{{cands}}}")
         return " ".join(parts)
+
+    def renamed(self) -> "Reading":
+        """A copy whose variables are fresh and its own; a ground reading
+        is its own copy. The render is copied, not recomputed: renders
+        number variables canonically."""
+        if self.ground:
+            return self
+        mapping: dict[Var, Var] = {}
+        copy = object.__new__(Reading)
+        copy.lf = refresh(self.lf, mapping)
+        copy.semterm = refresh(self.semterm, mapping)
+        copy.deferred = tuple(
+            DeferredAssignment(a.atom, a.path, refresh(a.slot, mapping),
+                               tuple([refresh(c, mapping) for c in a.candidates]))
+            for a in self.deferred
+        )
+        copy.render = self.render
+        copy.ground = False
+        return copy
 
     def __repr__(self) -> str:
         return f"<reading {self.render}>"
@@ -315,22 +336,22 @@ def _enumerate_occurrences(grammar: Grammar, occs: list[Occurrence], i: int,
 
 
 def lexical_instance(grammar: Grammar, entry: LexEntry,
-                     depth: str) -> tuple[FeatureTerm, list[Reading] | None]:
-    """A fresh category and readings for one lexical entry."""
-    mapping: dict[Var, Var] = {}
-    cat = refresh(entry.cat, mapping)
+                     depth: str) -> list[Reading] | None:
+    """Fresh readings for one lexical entry; None at `syn`. The entry's
+    category is not part of them: callers rename it themselves."""
     if depth == SYN:
-        return cat, None
+        return None
+    mapping: dict[Var, Var] = {}
     lf = refresh(entry.lf, mapping)
     semterm = refresh(entry.semterm, mapping)
     if depth == SEM:
-        return cat, [Reading(lf, semterm)]
+        return [Reading(lf, semterm)]
     ann = annotate(lf, {})
     net = build_network(ann, {})
     if net is None:
-        return cat, []
+        return []
     binds, occs = net
-    return cat, _finish_sorted(grammar, depth, ann, semterm, binds, (), occs)
+    return _finish_sorted(grammar, depth, ann, semterm, binds, (), occs)
 
 
 def combine_readings(grammar: Grammar, rule: Rule,

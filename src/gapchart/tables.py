@@ -38,6 +38,14 @@ class PredictionEntry:
 
 @dataclass
 class CompiledTables:
+    """The compiled tables of one grammar under one strategy.
+
+    Tables are meant to be reused across utterances: `memo` keeps the
+    semantic work of the parses made with them (lexical readings and
+    reading combinations), so later utterances share it. The engine
+    fills and bounds the memo; callers never set it.
+    """
+
     strategy: str
     cd: frozenset[str]
     backbones: frozenset[str]
@@ -48,6 +56,7 @@ class CompiledTables:
     reduction_triggers: dict[str, tuple[tuple[Rule, int], ...]]
     empty_rules: tuple[Rule, ...] = ()
     closure_violations: list[tuple[str, str]] = field(default_factory=list)
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _all_backbones(grammar: Grammar) -> frozenset[str]:

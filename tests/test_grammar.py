@@ -245,3 +245,12 @@ def test_bundled_grammars_expose_expected_shape(toy_grammar, sorts_grammar,
     assert set(sorts_grammar.sort_table) >= {"fly", "serve", "land", "pilot"}
     assert len(sorts_grammar.sorts_of("fly")) == 3
     assert fragments_grammar.dispreferred == {"np_nn": 0.25}
+
+
+def test_identifiers_starting_with_underscore_are_errors():
+    # renders name variables _1, _2, ...: such an atom would render like one
+    errs = _errors("feature s f\nstart s()\nrule r : s(f=_1) ->\n")
+    assert any("line 3" in e and "'_1'" in e for e in errs)
+    errs = _errors("start s()\nrule r : s() ->\nlex '_1' : s()\n")
+    assert any("line 3" in e and "'_1'" in e for e in errs)
+    parse_grammar("start s()\nrule r : s() ->\nlex '_1' : s() -> one\n")

@@ -1,0 +1,201 @@
+"""Semantic work shared through the compiled tables.
+
+Tables memoise lexical instances and reading combinations, and every
+use puts renamed copies into the chart. These tests check the invariant
+that makes the memo's keys sound (no two readings of one chart share a
+variable), that tables which have already parsed a corpus give the same
+results as fresh ones, and that the memo stays within its bound.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from gapchart.data import path as data_path, read_text
+from gapchart.engine import MEMO_LIMIT, parse, tokenize
+from gapchart.grammar import load_grammar, parse_grammar
+from gapchart.scoring import Hypothesis, read_nbest, rescore
+from gapchart.tables import compile_tables
+from gapchart.terms import Var, leaves
+
+SEM_DEPTHS = ("sem", "sorts", "deferred")
+
+# a sem rule whose template adds a sort ambiguity over an unambiguous
+# daughter: `sorts` and `deferred` combine the same daughter readings
+# into different readings, so one set of tables must keep them apart
+TEMPLATE_SORTS = """
+start s()
+rule s1 : s() -> np() vp()
+rule vp_i : vp() -> v()
+rule np_p : np() -> pn()
+sem s1 : [D2, D1]
+sem vp_i : [often, D1]
+sem np_p : D1
+lex bob : pn() -> bob
+lex runs : v() -> run
+sort bob : person
+sort run : (person -> prop)
+sort often : ((person -> prop) -> (person -> prop))
+sort often : ((person -> prop) -> (person -> event))
+"""
+
+GRAMMARS = {
+    **{name: load_grammar(data_path(name))
+       for name in ("toy.gram", "sorts.gram", "ambig.gram", "fragments.gram")},
+    "template_sorts": parse_grammar(TEMPLATE_SORTS),
+}
+
+
+@pytest.fixture(scope="module")
+def utterances(toy_corpus, sorts_corpus, ambig_corpus) -> list[str]:
+    """Every bundled utterance; each grammar parses all of them robustly."""
+    nbest = [" ".join(h.words) for hyps in read_nbest(data_path("nbest.tsv")).values()
+             for h in hyps]
+    return [*toy_corpus, *sorts_corpus, *ambig_corpus, *nbest, "bob runs"]
+
+
+def _depths(grammar) -> tuple[str, ...]:
+    return SEM_DEPTHS if grammar.has_sorts else ("sem",)
+
+
+def _parse(grammar, utt: str, depth: str, tables):
+    return parse(grammar, tokenize(utt), depth=depth, robust=True, tables=tables)
+
+
+def _reading_vars(reading) -> set[Var]:
+    values = [reading.lf, reading.semterm]
+    for a in reading.deferred:
+        values += [a.slot, *a.candidates]
+    return {v for value in values for v in leaves(value) if isinstance(v, Var)}
+
+
+def _shared_vars(result) -> list[Var]:
+    """Variables that occur in more than one reading of the chart."""
+    owner: dict[Var, tuple[int, int]] = {}
+    shared = []
+    for edge in result.chart.edges:
+        for i, reading in enumerate(edge.readings or ()):
+            for v in _reading_vars(reading):
+                if owner.setdefault(v, (edge.id, i)) != (edge.id, i):
+                    shared.append(v)
+    return shared
+
+
+def _snapshot(result) -> tuple:
+    return (
+        result.chart.dump(),
+        result.stats,
+        result.trees(7),
+        [[r.render for r in e.readings] if e.readings is not None else None
+         for e in result.chart.edges],
+        [r.render for r in result.complete_readings()],
+    )
+
+
+@pytest.mark.parametrize("name", GRAMMARS)
+def test_no_two_readings_of_a_chart_share_a_variable(name, utterances):
+    grammar = GRAMMARS[name]
+    tables = compile_tables(grammar, "llc")
+    for depth in _depths(grammar):
+        for utt in utterances:
+            assert _shared_vars(_parse(grammar, utt, depth, tables)) == [], (depth, utt)
+
+
+def test_deferred_phrase_does_not_share_its_daughters_slot(sorts_grammar):
+    # the vp's deferred `fly` assignment is a copy, not the v edge's own
+    result = parse(sorts_grammar, tokenize("the pilot flies"), depth="deferred")
+    vp = [e for e in result.chart.edges if e.backbone == "vp"]
+    assert vp and all(r.deferred for e in vp for r in e.readings)
+    assert _shared_vars(result) == []
+
+
+@pytest.mark.parametrize("name", GRAMMARS)
+def test_warm_tables_give_the_results_of_cold_tables(name, utterances):
+    grammar = GRAMMARS[name]
+    warm = compile_tables(grammar, "llc")
+    for depth in _depths(grammar):
+        for utt in utterances:
+            _parse(grammar, utt, depth, warm)
+    assert warm.memo
+    for depth in _depths(grammar):
+        for utt in utterances:
+            cold = compile_tables(grammar, "llc")
+            assert (_snapshot(_parse(grammar, utt, depth, warm))
+                    == _snapshot(_parse(grammar, utt, depth, cold))), (depth, utt)
+
+
+def _rescored(grammar, groups, depth):
+    return {(r.utt, r.words): (r.nl, r.fragments, r.is_sentence)
+            for r in rescore(grammar, groups, depth=depth)}
+
+
+@pytest.mark.parametrize("depth", ("syn", *SEM_DEPTHS))
+def test_rescoring_does_not_depend_on_hypothesis_order(sorts_grammar, fragments_grammar,
+                                                       utterances, depth):
+    cases = [
+        (fragments_grammar, read_nbest(data_path("nbest.tsv"))),
+        (sorts_grammar, {"all": [Hypothesis("all", i, -float(i), tuple(tokenize(u)))
+                                 for i, u in enumerate(utterances, 1)]}),
+    ]
+    for grammar, groups in cases:
+        reversed_groups = {utt: hyps[::-1] for utt, hyps in groups.items()}
+        assert (_rescored(grammar, reversed_groups, depth)
+                == _rescored(grammar, groups, depth))
+
+
+def test_memo_stays_within_its_bound():
+    # each noun brings its own lexical instance and combinations
+    nouns = range(MEMO_LIMIT // 2)
+    text = read_text("sorts.gram") + "".join(
+        f"lex noun{i} : n() -> thing{i}\nsort thing{i} : person\n" for i in nouns)
+    grammar = parse_grammar(text)
+    tables = compile_tables(grammar, "llc")
+    utterances = [f"the noun{i} flies" for i in nouns]
+    sizes = []
+    for utt in utterances:
+        for depth in SEM_DEPTHS:
+            _parse(grammar, utt, depth, tables)
+            sizes.append(len(tables.memo))
+    assert max(sizes) <= MEMO_LIMIT
+    assert any(b < a for a, b in zip(sizes, sizes[1:])), "the memo was never cleared"
+    for utt in utterances[::7]:
+        for depth in SEM_DEPTHS:
+            cold = compile_tables(grammar, "llc")
+            assert (_snapshot(_parse(grammar, utt, depth, tables))
+                    == _snapshot(_parse(grammar, utt, depth, cold))), utt
+
+
+@pytest.mark.parametrize("depth", ("syn", "sem"))
+def test_a_word_used_twice_gets_a_category_of_its_own_each_time(depth):
+    # both uses of "fish" come from one memo entry; a shared `num`
+    # variable could not be both sg and pl
+    grammar = parse_grammar("""
+feature n num
+start s()
+rule r : s() -> n(num=sg) n(num=pl)
+sem r : [D1, D2]
+lex fish : n(num=N) -> fish
+""")
+    result = parse(grammar, tokenize("fish fish"), depth=depth)
+    assert result.trees() == ["(r fish fish)"]
+
+
+@pytest.mark.parametrize("strategy", ("bu", "llc", "lc"))
+def test_an_edge_in_two_daughter_positions_keys_apart_from_two_edges(strategy):
+    # (r (ae) (ae)) is tried first and vetoed, since the one empty edge's
+    # `idx` cannot be both c and d; (r (ae) w) has the same daughter
+    # renders but two edges, so it must not reuse that veto
+    grammar = parse_grammar("""
+feature sem idx
+start x()
+rule r : x() -> a() a()
+rule ae : a() ->
+sem ae : e
+lex w : a() -> e
+sem r : [D1, D2] with sem() -> sem(idx=c) sem(idx=d)
+""")
+    tables = compile_tables(grammar, strategy)
+    for _ in range(2):
+        result = parse(grammar, ["w"], strategy=strategy, depth="sem", tables=tables)
+        assert result.trees() == ["(r (ae) w)", "(r w (ae))"]
+        assert [r.render for r in result.complete_readings()] == ["sem(idx=_1) :: [e,e]"]
