@@ -1,10 +1,11 @@
 """The chart: packed edges and prediction sequences.
 
-Edges pack derivations: a new derivation of an equivalent category over
-the same span joins the existing edge instead of growing the chart. A
-strictly more general category logically deletes the edges it subsumes;
-dead edges keep their derivations so earlier parents still unpack.
-Edges carrying semantic readings only interact when their semantic keys
+Edges pack derivations: a new derivation whose category is an
+alphabetic variant of an edge's over the same span joins that edge
+instead of growing the chart. A more general or more specific category
+is a new edge, so every derivation of an edge has exactly the edge's
+category and its trees can be read off without re-unifying. Edges
+carrying semantic readings only interact when their semantic keys
 agree, so semantically distinct analyses stay distinct edges.
 
 `ForestFold` folds the packed forest below an edge bottom-up, cutting
@@ -28,7 +29,6 @@ from .terms import (
     canonical,
     canonical_seq,
     seq_subsumes,
-    subsumes,
     variants,
 )
 
@@ -58,7 +58,7 @@ class Edge:
     """A span with a category, packed derivations, and optional readings."""
 
     __slots__ = ("id", "start", "end", "cat", "derivations", "readings",
-                 "sem_key", "alive", "_deriv_keys", "_reading_renders")
+                 "sem_key", "_deriv_keys", "_reading_renders")
 
     def __init__(self, eid: int, start: int, end: int, cat: FeatureTerm,
                  sem_key: str | None):
@@ -69,7 +69,6 @@ class Edge:
         self.derivations: list[Derivation] = []
         self.readings: list | None = None
         self.sem_key = sem_key
-        self.alive = True
         self._deriv_keys: set[tuple] = set()
         self._reading_renders: set[str] = set()
 
@@ -182,43 +181,32 @@ class Chart:
                  derivation: Derivation, readings: list | None = None,
                  sem_key: str | None = None) -> tuple[Edge, str]:
         """Insert a derivation; returns (edge, outcome) where outcome is
-        "new", "replaced", "packed", or "duplicate"."""
+        "new", "packed", or "duplicate"."""
         group = (start, end, cat.backbone, sem_key)
         peers = self._by_group.setdefault(group, [])
-        replaced: list[Edge] = []
         for other in peers:
-            if not other.alive:
-                continue
-            if variants(other.cat, cat) or subsumes(other.cat, cat):
-                # an equivalent or more general edge hosts this analysis;
+            if variants(other.cat, cat):
                 # readings merge even when the derivation is already known
                 added = other.add_derivation(derivation)
                 other.add_readings(readings)
                 return other, ("packed" if added else "duplicate")
-            if subsumes(cat, other.cat):
-                replaced.append(other)
         edge = Edge(self._next_id, start, end, cat, sem_key)
         self._next_id += 1
         edge.add_derivation(derivation)
         if readings is not None:
             edge.add_readings(readings)
-        for other in replaced:
-            other.alive = False
         self.edges.append(edge)
         self._by_end[end].append(edge)
         peers.append(edge)
         self.edges_created += 1
-        return edge, ("replaced" if replaced else "new")
+        return edge, "new"
 
     def edges_ending_at(self, end: int) -> list[Edge]:
         # the live list: callers iterating during growth see new edges
         return self._by_end[end]
 
     def empty_edges_at(self, pos: int) -> list[Edge]:
-        return [e for e in self._by_end[pos] if e.start == pos and e.alive]
-
-    def live_edges(self) -> list[Edge]:
-        return [e for e in self.edges if e.alive]
+        return [e for e in self._by_end[pos] if e.start == pos]
 
     # -- predictions ---------------------------------------------------
 
@@ -259,10 +247,9 @@ class Chart:
     def dump(self) -> str:
         lines: list[str] = []
         for edge in self.edges:
-            flag = "" if edge.alive else " (dead)"
             lines.append(
                 f"{edge.id}\t{edge.start}\t{edge.end}\t"
-                f"{canonical(edge.cat)}\t{len(edge.derivations)}{flag}"
+                f"{canonical(edge.cat)}\t{len(edge.derivations)}"
             )
         for pos in sorted(self.predictions):
             for seq in self.predictions[pos]:

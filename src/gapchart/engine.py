@@ -94,12 +94,12 @@ class ParseResult:
             words=len(self.words),
             edges=self.chart.edges_created,
             predictions=self.chart.preds_created,
-            complete=sum(1 for e in self.complete_edges() if e.alive),
+            complete=len(self.complete_edges()),
         )
 
     def complete_edges(self) -> list[Edge]:
         """Edges spanning the whole input whose category fits the start
-        category (dead edges included: their derivations remain real)."""
+        category."""
         start = self.grammar.start
         n = len(self.words)
         out: list[Edge] = []
@@ -254,7 +254,7 @@ class _Parser:
                     edge, outcome = chart.add_edge(
                         i, i + 1, cat, Derivation("lex", word=word), group, key
                     )
-                    if outcome in ("new", "replaced"):
+                    if outcome == "new":
                         self._say_edge(edge)
                         self._process(edge)
             self._empty_fixpoint(i + 1)
@@ -317,7 +317,7 @@ class _Parser:
                     edge, outcome = self.chart.add_edge(
                         pos, pos, head, Derivation("empty", rule=rule), group, key
                     )
-                    if outcome in ("new", "replaced"):
+                    if outcome == "new":
                         self._say_edge(edge)
                         changed = True
                         self._process(edge)
@@ -329,6 +329,14 @@ class _Parser:
         if self.trace is not None and outcome != "duplicate":
             event = "ADD-PRED" if outcome == "ok" else "REJECT\tlookahead"
             self._say(event, pos, canonical_seq(seq))
+        if outcome == "ok" and len(seq) > 1:
+            # the empty edges already here were processed before this
+            # sequence existed, so advance it over them now
+            first, *rest = self.chart.predictions[pos][-1]
+            for e in self.chart.empty_edges_at(pos):
+                binds = unify_values(first, e.cat, {})
+                if binds is not None:
+                    self._predict(pos, tuple(resolve(t, binds) for t in rest))
 
     def _make_new_predictions(self, e: Edge) -> None:
         # advance sequences this edge begins
@@ -391,7 +399,7 @@ class _Parser:
         while i < len(edges):  # the list may grow while we are suspended
             edge = edges[i]
             i += 1
-            if not edge.alive or edge.backbone != last.backbone:
+            if edge.backbone != last.backbone:
                 continue
             b2 = unify_values(last, edge.cat, binds)
             if b2 is None:
@@ -410,8 +418,7 @@ class _Parser:
         while i < len(edges):
             edge = edges[i]
             i += 1
-            if (not edge.alive or edge.start != at
-                    or edge.backbone != first.backbone):
+            if edge.start != at or edge.backbone != first.backbone:
                 continue
             b2 = unify_values(first, edge.cat, binds)
             if b2 is None:
@@ -434,7 +441,7 @@ class _Parser:
                 start, end, head_cat,
                 Derivation("rule", rule=rule, daughters=daughters), group, key,
             )
-            if outcome in ("new", "replaced"):
+            if outcome == "new":
                 self._say_edge(edge)
                 yield edge
 

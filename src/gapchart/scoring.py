@@ -1,7 +1,7 @@
 """Fragment covers and n-best rescoring.
 
 When an utterance has no single complete parse, it is scored by the
-cheapest way to tile it with parsed phrases. Every live non-empty edge
+cheapest way to tile it with parsed phrases. Every non-empty edge
 is an arc costing `fragment_cost`; every word is also coverable by a
 fallback arc costing `fallback_cost` (dearer by default, so real
 phrases are preferred). The cover is found by dynamic programming over
@@ -108,7 +108,7 @@ def min_fragment_cover(result: ParseResult,
     n = len(result.words)
     start_backbone = result.grammar.start.backbone
     arcs_at: dict[int, list[Arc]] = {i: [] for i in range(n + 1)}
-    for edge in result.chart.live_edges():
+    for edge in result.chart.edges:
         if edge.start < edge.end:
             arcs_at[edge.start].append(
                 Arc(edge.start, edge.end, edge, weights.fragment_cost)

@@ -298,7 +298,7 @@ def exhaustive_min_cover_cost(result, weights) -> float:
     """Cheapest tiling cost over all tilings, by depth-first enumeration."""
     n = len(result.words)
     arcs_at: dict[int, list[tuple[int, float]]] = {i: [] for i in range(n + 1)}
-    for edge in result.chart.live_edges():
+    for edge in result.chart.edges:
         if edge.start < edge.end:
             arcs_at[edge.start].append((edge.end, weights.fragment_cost))
     for i in range(n):
@@ -323,7 +323,7 @@ def all_min_cost_tilings(result, weights) -> list[tuple[tuple[int, ...], int]]:
     """All tilings achieving the minimum cost, as (cut positions, arcs)."""
     n = len(result.words)
     arcs_at: dict[int, list[tuple[int, float]]] = {i: [] for i in range(n + 1)}
-    for edge in result.chart.live_edges():
+    for edge in result.chart.edges:
         if edge.start < edge.end:
             arcs_at[edge.start].append((edge.end, weights.fragment_cost))
     for i in range(n):

@@ -36,7 +36,7 @@ STRATEGIES = ("bu", "lc", "llc")
 def edge_signatures(result):
     return {
         (e.start, e.end, canonical(e.cat))
-        for e in result.chart.live_edges()
+        for e in result.chart.edges
     }
 
 
@@ -78,11 +78,11 @@ def test_criterion_03_prediction_suppresses_gap_edges(toy_grammar):
     three gap edges the analysis needs."""
     plain = tokenize("the pilot booked the flight")
     llc = parse(toy_grammar, plain)
-    assert [e for e in llc.chart.live_edges()
+    assert [e for e in llc.chart.edges
             if e.backbone in llc.tables.cd] == []
     bu = parse(toy_grammar, plain, strategy="bu")
     gap_spans = sorted(
-        (e.start, e.end) for e in bu.chart.live_edges()
+        (e.start, e.end) for e in bu.chart.edges
         if e.backbone == "np_gap"
     )
     assert gap_spans == [(i, i) for i in range(6)]
@@ -91,7 +91,7 @@ def test_criterion_03_prediction_suppresses_gap_edges(toy_grammar):
                      tokenize("the flight that the pilot booked lands"))
     cd = sorted(
         (e.start, e.end, e.backbone)
-        for e in relative.chart.live_edges()
+        for e in relative.chart.edges
         if e.backbone in relative.tables.cd
     )
     assert cd == [(3, 6, "s_gap"), (5, 6, "vp_gap"), (6, 6, "np_gap")]
@@ -110,7 +110,7 @@ def test_criterion_04_context_independent_completeness(toy_grammar,
         llc = parse(toy_grammar, words)
         bu_ci = {
             (e.start, e.end, canonical(e.cat))
-            for e in bu.chart.live_edges()
+            for e in bu.chart.edges
             if not e.backbone in llc.tables.cd
         }
         llc_all = edge_signatures(llc)

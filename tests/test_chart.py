@@ -1,4 +1,4 @@
-"""Chart behavior: packing, replacement, predictions, and the dump format."""
+"""Chart behavior: packing, predictions, and the dump format."""
 
 from __future__ import annotations
 
@@ -55,26 +55,17 @@ def test_same_derivation_key_is_duplicate(chart):
     assert len(e1.derivations) == 1
 
 
-def test_more_specific_cat_packs_into_general_edge(chart):
-    general = FeatureTerm("np", (("agr", Var("A")),))
-    specific = FeatureTerm("np", (("agr", "sg"),))
-    e1, _ = chart.add_edge(0, 1, general, lex("w"))
-    e2, out = chart.add_edge(0, 1, specific, lex("v"))
-    assert out == "packed" and e2 is e1
-    assert e1.alive
-
-
-def test_more_general_cat_replaces_specific_edges(chart):
+@pytest.mark.parametrize("specific_first", [True, False],
+                         ids=["specific-first", "general-first"])
+def test_more_specific_and_more_general_cats_are_separate_edges(chart, specific_first):
     specific = FeatureTerm("np", (("agr", "sg"),))
     general = FeatureTerm("np", (("agr", Var("A")),))
-    e1, _ = chart.add_edge(0, 1, specific, lex("w"))
-    e2, out = chart.add_edge(0, 1, general, lex("v"))
-    assert out == "replaced"
-    assert not e1.alive and e2.alive
-    assert e1 in chart.edges and e1 not in chart.live_edges()
-    # the dead edge keeps its derivations for already-built parents
-    assert len(e1.derivations) == 1
-    assert "(dead)" in chart.dump()
+    cats = [specific, general] if specific_first else [general, specific]
+    (e1, out1), (e2, out2) = [chart.add_edge(0, 1, cat, lex(w))
+                              for cat, w in zip(cats, "wv")]
+    assert out1 == out2 == "new"
+    assert e1 is not e2 and chart.edges == [e1, e2]
+    assert len(e1.derivations) == len(e2.derivations) == 1
 
 
 def test_distinct_sem_keys_stay_separate(chart):
@@ -103,15 +94,14 @@ def test_reading_renders_deduplicate(chart):
     assert len(e1.readings) == 1
 
 
-def test_empty_edges_at_excludes_dead_and_nonempty(chart):
-    eps = FeatureTerm("np", (("agr", "sg"),))
-    chart.add_edge(1, 1, eps, Derivation("empty"))
+def test_empty_edges_at_lists_every_empty_edge_at_the_position(chart):
+    specific = chart.add_edge(1, 1, FeatureTerm("np", (("agr", "sg"),)),
+                              Derivation("empty"))[0]
     chart.add_edge(0, 1, FeatureTerm("np"), lex("w"))
-    found = chart.empty_edges_at(1)
-    assert [e.start == e.end == 1 for e in found] == [True]
-    chart.add_edge(1, 1, FeatureTerm("np", (("agr", Var("A")),)),
-                   Derivation("empty", word="other"))
-    assert len(chart.empty_edges_at(1)) == 1  # old one replaced and dead
+    general = chart.add_edge(1, 1, FeatureTerm("np", (("agr", Var("A")),)),
+                             Derivation("empty", word="other"))[0]
+    assert chart.empty_edges_at(1) == [specific, general]
+    assert chart.empty_edges_at(0) == []
 
 
 def test_prediction_dedup_is_one_directional(chart):

@@ -13,7 +13,7 @@ from gapchart.terms import Var, canonical, canonical_seq, leaves
 def cd_spans(result):
     return sorted(
         (e.start, e.end, e.backbone)
-        for e in result.chart.live_edges()
+        for e in result.chart.edges
         if e.backbone in result.tables.cd
     )
 
@@ -56,7 +56,7 @@ def test_bu_builds_gap_edges_everywhere(toy_grammar):
     r = parse(toy_grammar, tokenize("the pilot booked the flight"),
               strategy="bu")
     gaps = sorted(
-        (e.start, e.end) for e in r.chart.live_edges()
+        (e.start, e.end) for e in r.chart.edges
         if e.backbone == "np_gap"
     )
     assert gaps == [(i, i) for i in range(6)]
@@ -156,7 +156,7 @@ def test_unknown_word_robust_mode_skips(toy_grammar):
               robust=True, trace=events.append)
     assert r.stats.complete == 0
     assert any(line.startswith("SKIP\t1\tzeppelin") for line in events)
-    spans = {(e.start, e.end) for e in r.chart.live_edges()}
+    spans = {(e.start, e.end) for e in r.chart.edges}
     assert (3, 5) in spans  # "the flight" still parsed as an np
 
 

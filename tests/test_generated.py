@@ -5,11 +5,20 @@ The generated grammars declare features on some backbones, share
 variables between daughters and the head, nest feature terms in feature
 values, give heads variables no daughter binds, have empty rules, and
 declare a context-dependent set closed under possible-left-corner-of.
+
+To sweep a wider range of seeds, run
+
+    PYTHONPATH=src python tests/test_generated.py FIRST STOP
+
+which prints each disagreeing seed, strategy and input for the seeds
+FIRST to STOP - 1, and exits 1 if there is any.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from typing import Iterator
 
 import pytest
 
@@ -122,54 +131,72 @@ def random_words(rng: random.Random, grammar: Grammar, max_len: int = 4) -> list
     return out[:max_len]
 
 
-@pytest.mark.parametrize("seed", range(24))
-def test_generated_grammar_forest_matches_exhaustive_oracle(seed):
+def disagreements(seed: int) -> Iterator[tuple[str, list[str]]]:
+    """(strategy, words) for every generated input of the seed on which
+    the strategy's trees differ from the oracle's."""
     rng = random.Random(seed)
     grammar = random_grammar(rng)
     for words in [random_words(rng, grammar) for _ in range(6)]:
         oracle = sorted(exhaustive_parse(grammar, words))
         for strategy in ("bu", "llc", "lc"):
-            assert sorted(parse(grammar, words, strategy=strategy).trees()) == oracle, (
-                strategy, words)
+            if sorted(parse(grammar, words, strategy=strategy).trees()) != oracle:
+                yield strategy, words
 
 
-# Known disagreements with the oracle: one minimal grammar for each kind
-# that a wider seed sweep turns up (about 2% of generated inputs). They
-# are strict, so a fix shows as a failure until its marker is removed.
-KNOWN_DEFECTS = [
+# Every seed of 0-199 and 1000-1299 that disagreed with the oracle while
+# the chart still packed derivations into more general edges and replaced
+# more specific ones.
+REGRESSION_SEEDS = (49, 66, 82, 114, 115, 139, 145, 151, 158, 177, 1001, 1040,
+                    1042, 1046, 1055, 1070, 1091, 1150, 1161, 1167, 1191, 1218,
+                    1221, 1250, 1285, 1289)
+LOST_TO_EDGE_ORDER = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: under llc and lc an edge processed before the prediction "
+    "that licenses its parent is never reduced again, so (r2 (r4)) is lost"))
+
+
+@pytest.mark.parametrize("seed", [
+    *range(24),
+    *(pytest.param(s, marks=LOST_TO_EDGE_ORDER) if s == 1070 else s
+      for s in REGRESSION_SEEDS),
+])
+def test_generated_grammar_forest_matches_exhaustive_oracle(seed):
+    assert list(disagreements(seed)) == []
+
+
+# One minimal grammar for each kind of disagreement with the oracle that
+# a wider seed sweep once turned up.
+MINIMAL_GRAMMARS = [
     pytest.param(
         "feature s f\nstart s(f=v)\nrule r0 : s() -> p()\nrule r1 : s(f=u) -> p()\n"
-        "lex x : p()\n", "x", id="packed-derivation-unpacked-under-general-category",
-        marks=pytest.mark.xfail(strict=True, reason=(
-            "s(f=u) packs into the more general s(f=_) edge, so (r1 x) is read "
-            "off an edge that fits the start s(f=v) though r1's own category does not"))),
+        "lex x : p()\n", "x", id="packed-derivation-unpacked-under-general-category"),
     pytest.param(
         "feature s f\nstart t()\nrule r0 : s(f=u) -> p()\nrule r1 : s() -> p()\n"
         "rule top : t() -> s(f=u) q()\nlex x : p()\nlex y : q()\n", "x y",
-        id="replaced-edge-derivations-lost-to-later-parents",
-        marks=pytest.mark.xfail(strict=True, reason=(
-            "s(f=_) replaces s(f=u); parents built later see only the live edge, "
-            "so (top (r0 x) y) is lost"))),
+        id="replaced-edge-derivations-lost-to-later-parents"),
     pytest.param(
         "feature e f\nstart a()\nrule r2 : a() -> e()\nrule r4 : e(f=u) ->\n"
-        "rule r5 : e() ->\nlex x : a()\n", "", id="replaced-empty-edge-tree-twice",
-        marks=pytest.mark.xfail(strict=True, reason=(
-            "the re-offered r4 packs into the e(f=_) edge that replaced its own, "
-            "so (r2 (r4)) comes once through each"))),
+        "rule r5 : e() ->\nlex x : a()\n", "", id="replaced-empty-edge-tree-twice"),
     pytest.param(
         "start s()\ncd e b\nrule rc : c() -> p() e()\nrule r0 : s() -> c() e() b()\n"
         "rule rb : b() -> e()\nrule re : e() ->\nlex x : p()\n", "x",
-        id="prediction-after-empty-edges-at-its-position",
-        marks=pytest.mark.xfail(strict=True, reason=(
-            "(e b) is predicted at 1 after the empty e there was processed, so "
-            "the e never advances it and b is never licensed at 1 (llc, lc)"))),
+        id="prediction-after-empty-edges-at-its-position"),
 ]
 
 
-@pytest.mark.parametrize("text, utterance", KNOWN_DEFECTS)
-def test_known_defects_against_exhaustive_oracle(text, utterance):
+@pytest.mark.parametrize("text, utterance", MINIMAL_GRAMMARS)
+def test_minimal_grammar_matches_exhaustive_oracle(text, utterance):
     grammar = parse_grammar(text)
     words = utterance.split()
     oracle = sorted(exhaustive_parse(grammar, words))
     for strategy in ("bu", "llc", "lc"):
         assert sorted(parse(grammar, words, strategy=strategy).trees()) == oracle, strategy
+
+
+if __name__ == "__main__":
+    first, stop = map(int, sys.argv[1:])
+    found = False
+    for seed in range(first, stop):
+        for strategy, words in disagreements(seed):
+            print(seed, strategy, words)
+            found = True
+    sys.exit(1 if found else 0)

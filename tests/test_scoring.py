@@ -102,7 +102,7 @@ def test_dispreference_takes_cheapest_derivation():
         "disprefer bad 0.5\n"
     )
     r = parse(g, ["w"], strategy="bu")
-    (x_edge,) = [e for e in r.chart.live_edges() if e.backbone == "x"]
+    (x_edge,) = [e for e in r.chart.edges if e.backbone == "x"]
     assert len(x_edge.derivations) == 2
     assert edge_dispreference(g, x_edge) == pytest.approx(0.0)
     g2 = parse_grammar(
@@ -114,7 +114,7 @@ def test_dispreference_takes_cheapest_derivation():
         "disprefer good 0.3\n"
     )
     r2 = parse(g2, ["w"], strategy="bu")
-    (x2,) = [e for e in r2.chart.live_edges() if e.backbone == "x"]
+    (x2,) = [e for e in r2.chart.edges if e.backbone == "x"]
     assert edge_dispreference(g2, x2) == pytest.approx(0.3)
 
 

@@ -38,14 +38,14 @@ def test_veto_emits_trace_events(sorts_grammar):
 
 def test_immediate_sort_checking_splits_edges(sorts_grammar):
     r = parse(sorts_grammar, tokenize("the pilot flies"), depth="sorts")
-    v_edges = [e for e in r.chart.live_edges() if e.backbone == "v"]
+    v_edges = [e for e in r.chart.edges if e.backbone == "v"]
     assert len(v_edges) == 3  # one per sort of "fly"
     assert r.stats.edges == 10
 
 
 def test_deferred_carries_candidate_set_on_one_edge(sorts_grammar):
     r = parse(sorts_grammar, tokenize("the pilot flies"), depth="deferred")
-    v_edges = [e for e in r.chart.live_edges() if e.backbone == "v"]
+    v_edges = [e for e in r.chart.edges if e.backbone == "v"]
     assert len(v_edges) == 1
     assert r.stats.edges == 6
     (reading,) = v_edges[0].readings
@@ -140,12 +140,12 @@ def test_semantic_feature_terms_key_the_packing():
     g = parse_grammar(SEM_FEATURES)
     syn = parse(g, ["k"], depth="syn")
     sem = parse(g, ["k"], depth="sem")
-    assert len([e for e in syn.chart.live_edges() if e.backbone == "w"]) == 1
-    assert len([e for e in sem.chart.live_edges() if e.backbone == "w"]) == 2
+    assert len([e for e in syn.chart.edges if e.backbone == "w"]) == 1
+    assert len([e for e in sem.chart.edges if e.backbone == "w"]) == 2
     # without a with-clause the head's semantic term is fresh, so both
     # logical forms pool on one s edge but stay distinct readings
     assert renders(sem) == ["sem(idx=_1) :: lfa", "sem(idx=_1) :: lfb"]
-    s_edges = [e for e in sem.chart.live_edges() if e.backbone == "s"]
+    s_edges = [e for e in sem.chart.edges if e.backbone == "s"]
     assert len(s_edges) == 1 and len(s_edges[0].readings) == 2
 
 
