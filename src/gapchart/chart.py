@@ -76,10 +76,6 @@ class Edge:
     def backbone(self) -> str:
         return self.cat.backbone
 
-    @property
-    def is_empty(self) -> bool:
-        return self.start == self.end
-
     def add_derivation(self, d: Derivation) -> bool:
         key = d.key
         if key in self._deriv_keys:

@@ -16,13 +16,17 @@ chart categories that never contain a rule's variables. Only a match
 that succeeds is copied: the new category or predicted sequence is
 resolved and then renamed once, so the chart holds renamed copies only.
 
+Each use of an edge in one derivation gets its own variables: an edge
+that fills a second daughter position (only an empty edge can) is
+matched and combined as a renamed copy.
+
 Semantic work is memoised on the compiled tables, so every parse made
 with one set of tables shares it: a lexical entry's readings are keyed
-by word, entry and depth, and a reading combination by rule, depth, the
-daughters' reading renders and which daughter positions one edge fills.
-Every use, the first included, puts renamed copies into the chart (a
-reading without variables is its own copy), so no two readings of a
-chart share a variable; that is what makes the key exact.
+by word, entry and depth, and a reading combination by rule, depth and
+the daughters' reading renders. Every use, the first included, puts
+renamed copies into the chart (a reading without variables is its own
+copy), so no two readings of a chart share a variable, and no two
+daughters of one combination do; that is what makes the key exact.
 """
 
 from __future__ import annotations
@@ -222,10 +226,6 @@ class _Parser:
         if self.trace is not None:
             self.trace("\t".join(map(str, fields)))
 
-    def _say_edge(self, edge: Edge) -> None:
-        if self.trace is not None:
-            self._say("ADD-EDGE", edge.id, edge.start, edge.end, canonical(edge.cat))
-
     def run(self, words: list[str]) -> ParseResult:
         chart = Chart(words, self.tables, self.grammar.restrictor, self.lookahead)
         self.chart = chart
@@ -243,44 +243,52 @@ class _Parser:
                 cat = refresh(entry.cat, {})
                 readings = self._recall((word, index, self.depth),
                                         lexical_instance, entry)
-                if readings is None:
-                    groups: list[tuple[str | None, list | None]] = [(None, None)]
-                elif not readings:
+                if readings == []:
                     self._say("REJECT", "veto", f"lex:{word}", i, i + 1)
                     continue
-                else:
-                    groups = group_readings(_renamed(readings), self.depth)
-                for key, group in groups:
-                    edge, outcome = chart.add_edge(
-                        i, i + 1, cat, Derivation("lex", word=word), group, key
-                    )
-                    if outcome == "new":
-                        self._say_edge(edge)
-                        self._process(edge)
+                for edge in self._add(i, i + 1, cat, Derivation("lex", word=word),
+                                      readings):
+                    self._process(edge)
             self._empty_fixpoint(i + 1)
         return ParseResult(words, self.grammar, self.tables, chart, self.depth)
 
     # -- memoised semantics ----------------------------------------------
 
     def _recall(self, key: tuple, compute: Callable, *args: object):
-        """The memoised `compute(grammar, *args, depth)`: the stored value,
-        which callers copy before it reaches the chart."""
+        """The memoised `compute(grammar, *args, depth)`, as renamed
+        copies of the stored readings (None stays None)."""
         memo = self.tables.memo
         got = memo.get(key, memo)  # None is a value: syn has no readings
         if got is memo:
             if len(memo) >= MEMO_LIMIT:
                 memo.clear()
             got = memo[key] = compute(self.grammar, *args, self.depth)
-        return got
+        return None if got is None else _renamed(got)
 
-    def _combine(self, rule: Rule, daughters: tuple[Edge, ...]) -> list[Reading]:
-        dreadings = [d.readings if d.readings else [] for d in daughters]
-        # one edge may fill two daughter positions (an empty edge can), and
-        # then both positions share its variables: the key says which do
+    def _combine(self, rule: Rule, daughters: tuple[Edge, ...]) -> list[Reading] | None:
+        """The readings of a phrase; None at `syn`, and [] for a veto."""
+        if self.depth == SYN:
+            return None
+        # an edge that fills two daughter positions (an empty edge can)
+        # gets fresh variables for each use after the first
+        dreadings = [_renamed(d.readings) if d in daughters[:i] else d.readings
+                     for i, d in enumerate(daughters)]
         key = (rule.name, self.depth,
-               tuple([tuple([r.render for r in rs]) for rs in dreadings]),
-               tuple([daughters.index(d) for d in daughters]))
-        return _renamed(self._recall(key, combine_readings, rule, dreadings))
+               tuple([tuple([r.render for r in rs]) for rs in dreadings]))
+        return self._recall(key, combine_readings, rule, dreadings)
+
+    def _add(self, start: int, end: int, cat: FeatureTerm, derivation: Derivation,
+             readings: list[Reading] | None) -> Iterator[Edge]:
+        """Insert a derivation, one edge per reading group (one edge at
+        `syn`), and yield each new edge as soon as it is in the chart."""
+        groups = ([(None, None)] if readings is None
+                  else group_readings(readings, self.depth))
+        for key, group in groups:
+            edge, outcome = self.chart.add_edge(start, end, cat, derivation, group, key)
+            if outcome == "new":
+                if self.trace is not None:
+                    self._say("ADD-EDGE", edge.id, start, end, canonical(cat))
+                yield edge
 
     # -- control -------------------------------------------------------
 
@@ -306,21 +314,13 @@ class _Parser:
                 if not self._licensed(rule.head.backbone, pos):
                     continue
                 head = refresh(rule.head, {})
-                if self.depth == SYN:
-                    groups: list[tuple[str | None, list | None]] = [(None, None)]
-                else:
-                    readings = self._combine(rule, ())
-                    if not readings:
-                        continue
-                    groups = group_readings(readings, self.depth)
-                for key, group in groups:
-                    edge, outcome = self.chart.add_edge(
-                        pos, pos, head, Derivation("empty", rule=rule), group, key
-                    )
-                    if outcome == "new":
-                        self._say_edge(edge)
-                        changed = True
-                        self._process(edge)
+                readings = self._combine(rule, ())
+                if readings == []:
+                    continue
+                for edge in self._add(pos, pos, head, Derivation("empty", rule=rule),
+                                      readings):
+                    changed = True
+                    self._process(edge)
 
     # -- predictions ---------------------------------------------------
 
@@ -378,20 +378,31 @@ class _Parser:
             binds = unify_values(rule.rhs[pos], e.cat, {})
             if binds is None:
                 continue
-            for binds2, after in self._match_trailing(trailing, e.end, binds):
-                for binds3, before in self._match_tail(rule.rhs[:pos], e.start, binds2):
-                    daughters = (*before, e, *after)
+            for binds2, right in self._match_trailing(trailing, e.end, binds, (e,)):
+                for binds3, daughters in self._match_tail(rule.rhs[:pos], e.start, binds2,
+                                                          right):
                     span_start = daughters[0].start
                     if not self._licensed(rule.head.backbone, span_start):
                         continue
                     # the rename keeps the rule's own variables out of the chart
                     head_cat = refresh(resolve(rule.head, binds3), {})
-                    yield from self._attach(rule, head_cat, daughters, span_start, e.end)
+                    readings = self._combine(rule, daughters)
+                    if readings == []:
+                        self._say("REJECT", "veto", rule.name, span_start, e.end)
+                        continue
+                    yield from self._add(span_start, e.end, head_cat,
+                                         Derivation("rule", rule=rule, daughters=daughters),
+                                         readings)
 
-    def _match_tail(self, elems: tuple[FeatureTerm, ...], end: int,
-                    binds) -> Iterator[tuple[object, tuple[Edge, ...]]]:
+    def _match_tail(self, elems: tuple[FeatureTerm, ...], end: int, binds,
+                    matched: tuple[Edge, ...]) -> Iterator[tuple[object, tuple[Edge, ...]]]:
+        """Match `elems` right to left against edges ending at `end`, in
+        front of the daughters `matched` so far; yields the bindings and
+        all the daughters. A daughter matched again (only an empty edge
+        can be) is matched under fresh variables, so that each use binds
+        its own."""
         if not elems:
-            yield binds, ()
+            yield binds, matched
             return
         last = elems[-1]
         edges = self.chart.edges_ending_at(end)
@@ -401,16 +412,18 @@ class _Parser:
             i += 1
             if edge.backbone != last.backbone:
                 continue
-            b2 = unify_values(last, edge.cat, binds)
+            cat = refresh(edge.cat, {}) if edge in matched else edge.cat
+            b2 = unify_values(last, cat, binds)
             if b2 is None:
                 continue
-            for b3, rest in self._match_tail(elems[:-1], edge.start, b2):
-                yield b3, (*rest, edge)
+            yield from self._match_tail(elems[:-1], edge.start, b2, (edge, *matched))
 
-    def _match_trailing(self, elems: tuple[FeatureTerm, ...], at: int,
-                        binds) -> Iterator[tuple[object, tuple[Edge, ...]]]:
+    def _match_trailing(self, elems: tuple[FeatureTerm, ...], at: int, binds,
+                        matched: tuple[Edge, ...]) -> Iterator[tuple[object, tuple[Edge, ...]]]:
+        """Match `elems` left to right against empty edges at `at`, after
+        the daughters `matched` so far; as `_match_tail` otherwise."""
         if not elems:
-            yield binds, ()
+            yield binds, matched
             return
         first = elems[0]
         edges = self.chart.edges_ending_at(at)
@@ -420,30 +433,11 @@ class _Parser:
             i += 1
             if edge.start != at or edge.backbone != first.backbone:
                 continue
-            b2 = unify_values(first, edge.cat, binds)
+            cat = refresh(edge.cat, {}) if edge in matched else edge.cat
+            b2 = unify_values(first, cat, binds)
             if b2 is None:
                 continue
-            for b3, rest in self._match_trailing(elems[1:], at, b2):
-                yield b3, (edge, *rest)
-
-    def _attach(self, rule: Rule, head_cat: FeatureTerm,
-                daughters: tuple[Edge, ...], start: int, end: int) -> Iterator[Edge]:
-        if self.depth == SYN:
-            groups: list[tuple[str | None, list | None]] = [(None, None)]
-        else:
-            readings = self._combine(rule, daughters)
-            if not readings:
-                self._say("REJECT", "veto", rule.name, start, end)
-                return
-            groups = group_readings(readings, self.depth)
-        for key, group in groups:
-            edge, outcome = self.chart.add_edge(
-                start, end, head_cat,
-                Derivation("rule", rule=rule, daughters=daughters), group, key,
-            )
-            if outcome == "new":
-                self._say_edge(edge)
-                yield edge
+            yield from self._match_trailing(elems[1:], at, b2, (*matched, edge))
 
 
 def _renamed(readings: list[Reading]) -> list[Reading]:

@@ -82,10 +82,6 @@ class Grammar:
     dispreferred: dict[str, float] = field(default_factory=dict)
 
     @property
-    def rules_by_name(self) -> dict[str, Rule]:
-        return {r.name: r for r in self.rules}
-
-    @property
     def has_sorts(self) -> bool:
         return bool(self.sort_table)
 
@@ -178,6 +174,12 @@ def parse_term(p: _LineParser, features: dict[str, tuple[str, ...]]) -> FeatureT
         (f, given[f] if f in given else Var(f.upper())) for f in declared
     )
     return FeatureTerm(name, feats)
+
+
+def default_semterm(features: dict[str, tuple[str, ...]]) -> FeatureTerm:
+    """The semantic term of a lexical entry or semantic rule that gives
+    none: `sem` with a fresh variable for each declared `sem` feature."""
+    return FeatureTerm("sem", tuple((f, Var(f.upper())) for f in features.get("sem", ())))
 
 
 def _parse_value(p: _LineParser, features: dict[str, tuple[str, ...]]) -> object | None:
@@ -418,9 +420,7 @@ def parse_grammar(text: str) -> Grammar:
                     continue
                 lf = word
             if semterm is None:
-                semterm = FeatureTerm("sem", tuple(
-                    (f, Var(f.upper())) for f in features.get("sem", ())
-                ))
+                semterm = default_semterm(features)
             gram.lexicon.setdefault(word, []).append(LexEntry(word, cat, lf, semterm))
         elif kind == "sem":
             name = p.next()

@@ -13,6 +13,10 @@ Parsing runs at one of four depths:
   its surviving candidate sorts) instead of being multiplied out; they
   are resolved when enclosing structure narrows them, or on demand.
 
+Both sortal depths collect the same choices, one per atom occurrence
+the daughters left open: `sorts` multiplies out the choices `deferred`
+keeps.
+
 Sort annotations are logic variables in annotation slots of the LF, so
 constraint propagation is ordinary unification: an application node
 forces its functor slot to be a function sort from the argument slots to
@@ -22,9 +26,10 @@ the node's own slot.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .grammar import Grammar, LexEntry, Rule, SemRule
+from .grammar import Grammar, LexEntry, Rule, SemRule, default_semterm
 from .lf import LFAnn, LFApp, Placeholder, SFunc, substitute_placeholders
 from .terms import (
     Binds,
@@ -55,7 +60,6 @@ class DeferredAssignment:
     sorts still open for it."""
 
     atom: str
-    path: tuple[int, ...]
     slot: object
     candidates: tuple[object, ...]
 
@@ -95,7 +99,7 @@ class Reading:
         copy.lf = refresh(self.lf, mapping)
         copy.semterm = refresh(self.semterm, mapping)
         copy.deferred = tuple(
-            DeferredAssignment(a.atom, a.path, refresh(a.slot, mapping),
+            DeferredAssignment(a.atom, refresh(a.slot, mapping),
                                tuple([refresh(c, mapping) for c in a.candidates]))
             for a in self.deferred
         )
@@ -107,17 +111,14 @@ class Reading:
         return f"<reading {self.render}>"
 
 
-def group_key(reading: Reading, depth: str) -> str:
-    """The packing key: readings with equal keys share an edge."""
-    if depth == SEM:
-        return canonical(reading.semterm)
-    return reading.render
-
-
 def group_readings(readings: list[Reading], depth: str) -> list[tuple[str, list[Reading]]]:
+    """The readings grouped by packing key: readings with equal keys
+    share an edge. At `sem` the key is the semantic feature term, at the
+    sorts depths the whole render."""
     groups: dict[str, list[Reading]] = {}
     for r in readings:
-        groups.setdefault(group_key(r, depth), []).append(r)
+        key = canonical(r.semterm) if depth == SEM else r.render
+        groups.setdefault(key, []).append(r)
     return list(groups.items())
 
 
@@ -145,85 +146,51 @@ def annotate(lf: object, var_slots: dict[Var, Var]) -> object:
     raise TypeError(f"cannot annotate {lf!r}")
 
 
-@dataclass(frozen=True)
-class Occurrence:
-    atom: str
-    path: tuple[int, ...]
-    slot: object
-
-
-def build_network(lf: object, binds: Binds) -> tuple[Binds, list[Occurrence]] | None:
+def _walk_network(node: object, binds: Binds | None, grammar: Grammar,
+                  choices: list[DeferredAssignment]) -> Binds | None:
     """Propagate application constraints through an annotated LF.
 
-    Returns the extended bindings and every atom occurrence (preorder),
-    or None if the structure cannot be typed.
-    """
-    occs: list[Occurrence] = []
-    binds = _walk_network(lf, (), binds, occs)
-    if binds is None:
-        return None
-    return binds, occs
-
-
-def _walk_network(node: object, path: tuple[int, ...], binds: Binds | None,
-                  occs: list[Occurrence]) -> Binds | None:
+    Returns the extended bindings, or None if the structure cannot be
+    typed; appends a choice over its sorts for every atom occurrence
+    (preorder)."""
     if binds is None:
         return None
     if not isinstance(node, LFAnn):
         raise TypeError(f"unannotated LF node {node!r}")
     expr = node.expr
     if isinstance(expr, str):
-        occs.append(Occurrence(expr, path, node.slot))
+        choices.append(DeferredAssignment(expr, node.slot, grammar.sorts_of(expr)))
         return binds
     if isinstance(expr, (Var, FeatureTerm)):
         # a feature term reaches the LF only through a variable bound in
         # a `with` clause; like the variable it is an unconstrained leaf
         return binds
     if isinstance(expr, LFApp):
-        functor = expr.functor
-        if not isinstance(functor, LFAnn):
-            raise TypeError(f"unannotated functor {functor!r}")
-        arg_slots = []
-        for arg in expr.args:
-            if not isinstance(arg, LFAnn):
-                raise TypeError(f"unannotated argument {arg!r}")
-            arg_slots.append(arg.slot)
-        binds = unify_sorts(functor.slot, SFunc(tuple(arg_slots), node.slot), binds)
-        if binds is None:
-            return None
-        binds = _walk_network(functor, path + (0,), binds, occs)
-        for i, arg in enumerate(expr.args, start=1):
-            binds = _walk_network(arg, path + (i,), binds, occs)
-            if binds is None:
-                return None
+        for child in expr.children():
+            if not isinstance(child, LFAnn):
+                raise TypeError(f"unannotated LF node {child!r}")
+        arg_slots = tuple([arg.slot for arg in expr.args])
+        binds = unify_sorts(expr.functor.slot, SFunc(arg_slots, node.slot), binds)
+        for child in expr.children():
+            binds = _walk_network(child, binds, grammar, choices)
         return binds
     raise TypeError(f"unexpected annotated expression {expr!r}")
 
 
-def joint_solutions(assignments: tuple[DeferredAssignment, ...], binds: Binds,
-                    limit: int | None = None):
+def joint_solutions(choices: Sequence[DeferredAssignment], binds: Binds):
     """Yield bindings for each consistent joint choice of candidates."""
-    yield from _joint(assignments, 0, binds, limit, [0])
-
-
-def _joint(assignments, i, binds, limit, count):
-    if limit is not None and count[0] >= limit:
-        return
-    if i == len(assignments):
-        count[0] += 1
+    if not choices:
         yield binds
         return
-    a = assignments[i]
-    for cand in a.candidates:
-        b2 = unify_sorts(a.slot, cand, binds)
+    first, rest = choices[0], choices[1:]
+    for cand in first.candidates:
+        b2 = unify_sorts(first.slot, cand, binds)
         if b2 is not None:
-            yield from _joint(assignments, i + 1, b2, limit, count)
-            if limit is not None and count[0] >= limit:
-                return
+            yield from joint_solutions(rest, b2)
 
 
 def normalize_deferred(
-    assignments: list[DeferredAssignment], binds: Binds
+    choices: list[DeferredAssignment], binds: Binds
 ) -> tuple[Binds, tuple[DeferredAssignment, ...]] | None:
     """Prune candidate sets against current bindings, commit forced
     choices, and reject inconsistency; returns the surviving state.
@@ -231,7 +198,7 @@ def normalize_deferred(
     Surviving assignments have their slots resolved under the final
     bindings so they keep sharing variables with the resolved reading.
     """
-    current = list(assignments)
+    current = list(choices)
     committed = True
     while committed:
         committed = False
@@ -249,22 +216,17 @@ def normalize_deferred(
                     return None
                 committed = True
                 continue
-            survivors.append(DeferredAssignment(a.atom, a.path, a.slot, pruned))
+            survivors.append(DeferredAssignment(a.atom, a.slot, pruned))
         current = survivors
     if not current:
         return binds, ()
-    # count joint solutions, stopping at two
-    n = 0
-    last: Binds | None = None
-    for b in joint_solutions(tuple(current), binds, limit=2):
-        n += 1
-        last = b
-    if n == 0:
+    solutions = list(itertools.islice(joint_solutions(current, binds), 2))
+    if not solutions:
         return None
-    if n == 1:
-        return last, ()
+    if len(solutions) == 1:
+        return solutions[0], ()
     final = tuple(
-        DeferredAssignment(a.atom, a.path, resolve(a.slot, binds), a.candidates)
+        DeferredAssignment(a.atom, resolve(a.slot, binds), a.candidates)
         for a in current
     )
     return binds, final
@@ -273,66 +235,32 @@ def normalize_deferred(
 # -- building readings ---------------------------------------------------
 
 
-def _default_semterm(grammar: Grammar) -> FeatureTerm:
-    declared = grammar.features.get("sem", ())
-    return FeatureTerm("sem", tuple((f, Var(f.upper())) for f in declared))
-
-
 def _finish_sorted(grammar: Grammar, depth: str, lf_ann: object,
                    semterm: FeatureTerm, binds: Binds,
-                   inherited: tuple[DeferredAssignment, ...],
-                   occs: list[Occurrence]) -> list[Reading]:
+                   inherited: tuple[DeferredAssignment, ...]) -> list[Reading]:
     """Shared tail of lexical and phrasal reading construction at the
-    sorts depths, once the constraint network has been built."""
+    sorts depths: type the annotated LF, then take the inherited choices
+    and those of the atom occurrences the daughters did not settle, and
+    multiply them out at `sorts` or keep them at `deferred`."""
+    occurrences: list[DeferredAssignment] = []
+    binds = _walk_network(lf_ann, binds, grammar, occurrences)
+    if binds is None:
+        return []
     inherited_slots = {a.slot for a in inherited}
-    new_occs: list[Occurrence] = []
-    for occ in occs:
-        if isinstance(occ.slot, Var) and occ.slot in inherited_slots:
-            continue
-        if not isinstance(occ.slot, Var):
-            # committed in a daughter; the network already checked it
-            continue
-        new_occs.append(occ)
-
+    # a slot that is no longer a variable was committed in a daughter,
+    # and the network has already checked it
+    choices = [*inherited, *(
+        a for a in occurrences
+        if isinstance(a.slot, Var) and a.slot not in inherited_slots
+    )]
     if depth == SORTS_IMMEDIATE:
-        readings: list[Reading] = []
-        for final in _enumerate_occurrences(grammar, new_occs, 0, binds):
-            readings.append(
-                Reading(resolve(lf_ann, final), resolve(semterm, final))
-            )
-        return readings
-
-    assignments = list(inherited)
-    for occ in new_occs:
-        cands = tuple(
-            c for c in grammar.sorts_of(occ.atom)
-            if unify_sorts(occ.slot, c, binds) is not None
-        )
-        if not cands:
-            return []
-        if len(cands) == 1:
-            binds = unify_sorts(occ.slot, cands[0], binds)
-            if binds is None:
-                return []
-            continue
-        assignments.append(DeferredAssignment(occ.atom, occ.path, occ.slot, cands))
-    normalized = normalize_deferred(assignments, binds)
+        return [Reading(resolve(lf_ann, final), resolve(semterm, final))
+                for final in joint_solutions(choices, binds)]
+    normalized = normalize_deferred(choices, binds)
     if normalized is None:
         return []
     binds, deferred = normalized
     return [Reading(resolve(lf_ann, binds), resolve(semterm, binds), deferred)]
-
-
-def _enumerate_occurrences(grammar: Grammar, occs: list[Occurrence], i: int,
-                           binds: Binds):
-    if i == len(occs):
-        yield binds
-        return
-    occ = occs[i]
-    for cand in grammar.sorts_of(occ.atom):
-        b2 = unify_sorts(occ.slot, cand, binds)
-        if b2 is not None:
-            yield from _enumerate_occurrences(grammar, occs, i + 1, b2)
 
 
 def lexical_instance(grammar: Grammar, entry: LexEntry,
@@ -346,12 +274,7 @@ def lexical_instance(grammar: Grammar, entry: LexEntry,
     semterm = refresh(entry.semterm, mapping)
     if depth == SEM:
         return [Reading(lf, semterm)]
-    ann = annotate(lf, {})
-    net = build_network(ann, {})
-    if net is None:
-        return []
-    binds, occs = net
-    return _finish_sorted(grammar, depth, ann, semterm, binds, (), occs)
+    return _finish_sorted(grammar, depth, annotate(lf, {}), semterm, {}, ())
 
 
 def combine_readings(grammar: Grammar, rule: Rule,
@@ -383,7 +306,7 @@ def _apply_sem_rule(grammar: Grammar, sem_rule: SemRule,
     if sem_rule.head_sem is not None:
         head_sem = refresh(sem_rule.head_sem, mapping)
     else:
-        head_sem = _default_semterm(grammar)
+        head_sem = default_semterm(grammar.features)
     binds: Binds = {}
     if sem_rule.dsems is not None:
         for dsem_tpl, daughter in zip(sem_rule.dsems, combo):
@@ -400,12 +323,8 @@ def _apply_sem_rule(grammar: Grammar, sem_rule: SemRule,
     ann = substitute_placeholders(
         ann, {i + 1: r.lf for i, r in enumerate(combo)}
     )
-    net = build_network(ann, binds)
-    if net is None:
-        return []
-    binds, occs = net
     inherited = tuple(itertools.chain.from_iterable(r.deferred for r in combo))
-    return _finish_sorted(grammar, depth, ann, head_sem, binds, inherited, occs)
+    return _finish_sorted(grammar, depth, ann, head_sem, binds, inherited)
 
 
 def resolve_reading(reading: Reading) -> list[Reading]:

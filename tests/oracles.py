@@ -269,8 +269,9 @@ def exhaustive_parse(grammar: Grammar, words: list[str],
                         rhs = [refresh(e, mapping) for e in rule.rhs]
                         binds = EMPTY_BINDS
                         ok = True
+                        # each use of an analysis gets its own variables
                         for elem, (cat, _tree) in zip(rhs, combo):
-                            binds = unify_values(elem, cat, binds)
+                            binds = unify_values(elem, refresh(cat, {}), binds)
                             if binds is None:
                                 ok = False
                                 break

@@ -1,17 +1,25 @@
-"""Differential test on seeded random grammars: under every strategy the
-packed forest holds exactly the trees the exhaustive oracle parser finds.
+"""Differential tests on seeded random grammars.
 
-The generated grammars declare features on some backbones, share
-variables between daughters and the head, nest feature terms in feature
-values, give heads variables no daughter binds, have empty rules, and
-declare a context-dependent set closed under possible-left-corner-of.
+Under every strategy the packed forest holds exactly the trees the
+exhaustive oracle parser finds. The generated grammars declare features
+on some backbones, share variables between daughters and the head, nest
+feature terms in feature values, give heads variables no daughter binds,
+have empty rules, and declare a context-dependent set closed under
+possible-left-corner-of.
+
+On generated sort grammars, `deferred` gives exactly the readings of
+`sorts`, under every strategy. Their atoms have one to three sorts,
+some of them curried function sorts, and their unary and binary rules
+have one or two `sem` templates, which apply a daughter to the other,
+apply a template atom to a daughter, or drop a daughter.
 
 To sweep a wider range of seeds, run
 
     PYTHONPATH=src python tests/test_generated.py FIRST STOP
 
-which prints each disagreeing seed, strategy and input for the seeds
-FIRST to STOP - 1, and exits 1 if there is any.
+which prints each disagreeing seed, strategy (and depth) and input for
+the seeds FIRST to STOP - 1, over both kinds of grammar, and exits 1 if
+there is any.
 """
 
 from __future__ import annotations
@@ -98,12 +106,16 @@ def closed_cd(grammar: Grammar, seed_set: set[str]) -> set[str]:
     return cd
 
 
-def random_grammar(rng: random.Random) -> Grammar:
-    text = random_grammar_text(rng)
+def with_closed_cd(rng: random.Random, text: str) -> Grammar:
+    """The grammar of `text` with a random closed context-dependent set."""
     grammar = parse_grammar(text)
     used = sorted(compile_tables(grammar, "bu").backbones - {"n"})
     cd = closed_cd(grammar, set(rng.sample(used, rng.randint(1, 2))))
     return parse_grammar(text + f"cd {' '.join(sorted(cd))}\n")
+
+
+def random_grammar(rng: random.Random) -> Grammar:
+    return with_closed_cd(rng, random_grammar_text(rng))
 
 
 def random_words(rng: random.Random, grammar: Grammar, max_len: int = 4) -> list[str]:
@@ -143,6 +155,51 @@ def disagreements(seed: int) -> Iterator[tuple[str, list[str]]]:
                 yield strategy, words
 
 
+SORTS = ("e", "t", "(e -> t)", "(t -> t)", "(e -> (e -> t))", "((e -> t) -> t)",
+         "((e -> t) -> (e -> t))")
+TEMPLATES = {1: ("D1", "[f, D1]", "[g, D1]"),
+             2: ("[D1, D2]", "[D2, D1]", "[f, D1]", "[[g, D2], D1]")}
+
+
+def random_sort_grammar(rng: random.Random) -> Grammar:
+    lines = ["start s()"]
+    for level, head in enumerate(PHRASES):
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.2:
+                rhs = [head, rng.choice(PRETERMINALS)]
+            else:
+                lower = PHRASES[level + 1:] + PRETERMINALS
+                rhs = [rng.choice(lower) for _ in range(rng.randint(1, 2))]
+            name = f"r{len(lines)}"
+            lines.append(f"rule {name} : {head}() -> {' '.join(f'{d}()' for d in rhs)}")
+            lines += [f"sem {name} : {template}"
+                      for template in rng.sample(TEMPLATES[len(rhs)], rng.randint(1, 2))]
+    for word, pre in zip(WORDS, PRETERMINALS + (rng.choice(PRETERMINALS),)):
+        lines.append(f"lex {word} : {pre}() -> {word}")
+    for atom in (*WORDS, "f", "g"):
+        lines += [f"sort {atom} : {sort}" for sort in rng.sample(SORTS, rng.randint(1, 3))]
+    return with_closed_cd(rng, "\n".join(lines) + "\n")
+
+
+def sort_disagreements(seed: int) -> Iterator[tuple[str, list[str]]]:
+    """(strategy and depth, words) for every generated input of the seed
+    on which that parse's complete readings differ from `bu` at `sorts`."""
+    rng = random.Random(seed)
+    grammar = random_sort_grammar(rng)
+    tables = {strategy: compile_tables(grammar, strategy) for strategy in ("bu", "llc", "lc")}
+    for words in [random_words(rng, grammar) for _ in range(6)]:
+        expected = None
+        for strategy in tables:
+            for depth in ("sorts", "deferred"):
+                result = parse(grammar, words, strategy=strategy, depth=depth,
+                               tables=tables[strategy])
+                renders = sorted(r.render for r in result.complete_readings())
+                if expected is None:
+                    expected = renders
+                elif renders != expected:
+                    yield f"{strategy} {depth}", words
+
+
 # Every seed of 0-199 and 1000-1299 that disagreed with the oracle while
 # the chart still packed derivations into more general edges and replaced
 # more specific ones.
@@ -164,39 +221,72 @@ def test_generated_grammar_forest_matches_exhaustive_oracle(seed):
 
 
 # One minimal grammar for each kind of disagreement with the oracle that
-# a wider seed sweep once turned up.
+# a wider seed sweep or a hand-made grammar once turned up, with the
+# oracle's trees.
 MINIMAL_GRAMMARS = [
     pytest.param(
         "feature s f\nstart s(f=v)\nrule r0 : s() -> p()\nrule r1 : s(f=u) -> p()\n"
-        "lex x : p()\n", "x", id="packed-derivation-unpacked-under-general-category"),
+        "lex x : p()\n", "x", ["(r0 x)"],
+        id="packed-derivation-unpacked-under-general-category"),
     pytest.param(
         "feature s f\nstart t()\nrule r0 : s(f=u) -> p()\nrule r1 : s() -> p()\n"
         "rule top : t() -> s(f=u) q()\nlex x : p()\nlex y : q()\n", "x y",
+        ["(top (r0 x) y)", "(top (r1 x) y)"],
         id="replaced-edge-derivations-lost-to-later-parents"),
     pytest.param(
         "feature e f\nstart a()\nrule r2 : a() -> e()\nrule r4 : e(f=u) ->\n"
-        "rule r5 : e() ->\nlex x : a()\n", "", id="replaced-empty-edge-tree-twice"),
+        "rule r5 : e() ->\nlex x : a()\n", "", ["(r2 (r4))", "(r2 (r5))"],
+        id="replaced-empty-edge-tree-twice"),
     pytest.param(
         "start s()\ncd e b\nrule rc : c() -> p() e()\nrule r0 : s() -> c() e() b()\n"
         "rule rb : b() -> e()\nrule re : e() ->\nlex x : p()\n", "x",
+        ["(r0 (rc x (re)) (re) (rb (re)))"],
         id="prediction-after-empty-edges-at-its-position"),
+    # each use of the one empty edge binds its own `f`
+    pytest.param(
+        "feature e f\nstart x()\nrule r : x() -> e(f=u) e(f=v)\nrule re : e() ->\n", "",
+        ["(r (re) (re))"], id="one-empty-edge-in-two-daughter-positions"),
 ]
 
 
-@pytest.mark.parametrize("text, utterance", MINIMAL_GRAMMARS)
-def test_minimal_grammar_matches_exhaustive_oracle(text, utterance):
+@pytest.mark.parametrize("text, utterance, trees", MINIMAL_GRAMMARS)
+def test_minimal_grammar_matches_exhaustive_oracle(text, utterance, trees):
     grammar = parse_grammar(text)
     words = utterance.split()
     oracle = sorted(exhaustive_parse(grammar, words))
+    assert oracle == trees
     for strategy in ("bu", "llc", "lc"):
         assert sorted(parse(grammar, words, strategy=strategy).trees()) == oracle, strategy
+
+
+SORT_SEEDS = range(12)
+
+
+@pytest.mark.parametrize("seed", SORT_SEEDS)
+def test_generated_sort_grammar_deferred_readings_match_sorts(seed):
+    assert list(sort_disagreements(seed)) == []
+
+
+def test_generated_sort_grammars_have_ambiguous_and_deferred_readings():
+    # the differential above means something only if some inputs have
+    # several readings and some complete edges keep a choice open
+    ambiguous = deferred = 0
+    for seed in SORT_SEEDS:
+        rng = random.Random(seed)
+        grammar = random_sort_grammar(rng)
+        for words in [random_words(rng, grammar) for _ in range(6)]:
+            result = parse(grammar, words, depth="deferred")
+            ambiguous += len(result.complete_readings()) > 1
+            deferred += any(r.deferred for e in result.complete_edges() for r in e.readings)
+    assert ambiguous >= 5 and deferred >= 2
 
 
 if __name__ == "__main__":
     first, stop = map(int, sys.argv[1:])
     found = False
     for seed in range(first, stop):
-        for strategy, words in disagreements(seed):
-            print(seed, strategy, words)
-            found = True
+        for check in (disagreements, sort_disagreements):
+            for variant, words in check(seed):
+                print(seed, variant, words)
+                found = True
     sys.exit(1 if found else 0)

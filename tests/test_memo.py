@@ -180,12 +180,9 @@ lex fish : n(num=N) -> fish
     assert result.trees() == ["(r fish fish)"]
 
 
-@pytest.mark.parametrize("strategy", ("bu", "llc", "lc"))
-def test_an_edge_in_two_daughter_positions_keys_apart_from_two_edges(strategy):
-    # (r (ae) (ae)) is tried first and vetoed, since the one empty edge's
-    # `idx` cannot be both c and d; (r (ae) w) has the same daughter
-    # renders but two edges, so it must not reuse that veto
-    grammar = parse_grammar("""
+# `r` asks for two `a`s whose `idx` values differ; the empty `ae` can fill
+# both positions, since each use of an edge binds its own variables
+TWO_POSITIONS = """
 feature sem idx
 start x()
 rule r : x() -> a() a()
@@ -193,7 +190,25 @@ rule ae : a() ->
 sem ae : e
 lex w : a() -> e
 sem r : [D1, D2] with sem() -> sem(idx=c) sem(idx=d)
-""")
+"""
+
+
+@pytest.mark.parametrize("strategy", ("bu", "llc", "lc"))
+def test_one_empty_edge_in_two_daughter_positions_has_a_reading(strategy):
+    grammar = parse_grammar(TWO_POSITIONS)
+    tables = compile_tables(grammar, strategy)
+    for _ in range(2):
+        result = parse(grammar, [], strategy=strategy, depth="sem", tables=tables)
+        assert result.trees() == ["(r (ae) (ae))"]
+        assert [r.render for r in result.complete_readings()] == ["sem(idx=_1) :: [e,e]"]
+
+
+@pytest.mark.parametrize("strategy", ("bu", "llc", "lc"))
+def test_an_edge_in_two_daughter_positions_keys_apart_from_two_edges(strategy):
+    # (r (ae) (ae)) is combined first; (r (ae) w) has the same daughter
+    # renders and reuses its memo entry, which is sound because neither
+    # combines daughters that share a variable
+    grammar = parse_grammar(TWO_POSITIONS)
     tables = compile_tables(grammar, strategy)
     for _ in range(2):
         result = parse(grammar, ["w"], strategy=strategy, depth="sem", tables=tables)
