@@ -58,14 +58,13 @@ def cmd_validate(args) -> int:
 
 def cmd_parse(args) -> int:
     grammar = load_grammar(args.grammar)
-    tables = compile_tables(grammar, args.strategy)
     trace = _trace_fn(args.trace)
     for utt in _utterances(args):
         words = tokenize(utt)
         result = parse(
             grammar, words, strategy=args.strategy, depth=args.depth,
             lookahead=not args.no_lookahead, robust=args.robust,
-            trace=trace, tables=tables,
+            trace=trace,
         )
         stats = result.stats
         print(f"UTT\t{utt}")
@@ -113,14 +112,13 @@ def cmd_stats(args) -> int:
     utterances = _utterances(args)
     variants = [_variant(tok) for tok in args.variants]
     for token, (strategy, depth) in zip(args.variants, variants):
-        tables = compile_tables(grammar, strategy)
         edges = 0
         preds = 0
         parsed = 0
         for utt in utterances:
             result = parse(
                 grammar, tokenize(utt), strategy=strategy, depth=depth,
-                lookahead=not args.no_lookahead, tables=tables,
+                lookahead=not args.no_lookahead,
             )
             stats = result.stats
             edges += stats.edges
@@ -133,12 +131,11 @@ def cmd_stats(args) -> int:
 
 def cmd_cover(args) -> int:
     grammar = load_grammar(args.grammar)
-    tables = compile_tables(grammar, args.strategy)
     weights = ScoreWeights.from_json(args.weights) if args.weights else ScoreWeights()
     for utt in _utterances(args):
         result = parse(
             grammar, tokenize(utt), strategy=args.strategy, depth=args.depth,
-            lookahead=not args.no_lookahead, robust=True, tables=tables,
+            lookahead=not args.no_lookahead, robust=True,
         )
         cover = min_fragment_cover(result, weights)
         if args.well_formed and not cover.is_single_sentence:

@@ -21,9 +21,11 @@ that fills a second daughter position (only an empty edge can) is
 matched and combined as a renamed copy.
 
 Semantic work is memoised on the compiled tables, so every parse made
-with one set of tables shares it: a lexical entry's readings are keyed
-by word, entry and depth, and a reading combination by rule, depth and
-the daughters' reading renders. Every use, the first included, puts
+with one set of tables shares it, and a grammar keeps one set per
+strategy for the parses that pass none: a lexical entry's readings are
+keyed by word, entry and depth, and a reading combination by rule,
+depth and the daughters' reading renders. A full memo evicts its least
+recently used entry. Every use, the first included, puts
 renamed copies into the chart (a reading without variables is its own
 copy), so no two readings of a chart share a variable, and no two
 daughters of one combination do; that is what makes the key exact.
@@ -55,8 +57,8 @@ from .terms import FeatureTerm, canonical, canonical_seq, refresh, resolve, unif
 
 TraceFn = Callable[[str], None]
 
-# the memo is cleared when it holds this many entries; one 10-best list
-# of the rescoring benchmark fills a few dozen
+# the memo evicts its least recently used entry beyond this many; one
+# 10-best list of the rescoring benchmark uses a few dozen
 MEMO_LIMIT = 256
 
 
@@ -256,13 +258,16 @@ class _Parser:
 
     def _recall(self, key: tuple, compute: Callable, *args: object):
         """The memoised `compute(grammar, *args, depth)`, as renamed
-        copies of the stored readings (None stays None)."""
+        copies of the stored readings (None stays None). The memo is
+        kept in order of use, so a full one drops its least recently
+        used entry."""
         memo = self.tables.memo
-        got = memo.get(key, memo)  # None is a value: syn has no readings
+        got = memo.pop(key, memo)  # None is a value: syn has no readings
         if got is memo:
             if len(memo) >= MEMO_LIMIT:
-                memo.clear()
-            got = memo[key] = compute(self.grammar, *args, self.depth)
+                del memo[next(iter(memo))]
+            got = compute(self.grammar, *args, self.depth)
+        memo[key] = got
         return None if got is None else _renamed(got)
 
     def _combine(self, rule: Rule, daughters: tuple[Edge, ...]) -> list[Reading] | None:
@@ -455,14 +460,20 @@ def parse(grammar: Grammar, words: list[str], *, strategy: str = "llc",
           tables: CompiledTables | None = None) -> ParseResult:
     """Parse one utterance and return the finished chart.
 
-    `tables` are compiled from `grammar` when not given. Passing the same
-    tables to many parses shares their semantic work: lexical readings
-    and reading combinations are memoised on the tables, for every depth.
+    Without `tables`, the grammar's own tables for the strategy are
+    used, compiled on its first such parse and kept in
+    `grammar.compiled`. Every parse made with the same tables shares
+    their semantic work: lexical readings and reading combinations are
+    memoised on the tables, for every depth. So the grammar must not be
+    changed after its first parse, and a grammar or a set of tables
+    serves one thread at a time.
     """
     if depth not in DEPTHS:
         raise ConfigError(f"unknown depth {depth!r}; expected one of {DEPTHS}")
     if tables is None:
-        tables = compile_tables(grammar, strategy)
+        tables = grammar.compiled.get(strategy)
+        if tables is None:
+            tables = grammar.compiled[strategy] = compile_tables(grammar, strategy)
     if tables.closure_violations:
         pairs = ", ".join(f"{x} begins {y}" for x, y in tables.closure_violations)
         raise ConfigError(

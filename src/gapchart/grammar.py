@@ -71,6 +71,12 @@ class SemRule:
 
 @dataclass
 class Grammar:
+    """A loaded grammar. It is not changed after its first parse:
+    `compiled` caches its `CompiledTables` by strategy, compiled on the
+    first parse made without `tables=`, and the semantic memo on them
+    serves every later parse. So one grammar serves one thread at a
+    time."""
+
     features: dict[str, tuple[str, ...]] = field(default_factory=dict)
     start: FeatureTerm | None = None
     cd: frozenset[str] = frozenset()
@@ -80,6 +86,7 @@ class Grammar:
     sem_rules: dict[str, list[SemRule]] = field(default_factory=dict)
     sort_table: dict[str, tuple[object, ...]] = field(default_factory=dict)
     dispreferred: dict[str, float] = field(default_factory=dict)
+    compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def has_sorts(self) -> bool:

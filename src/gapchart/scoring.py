@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from .chart import ForestFold
 from .engine import ParseResult, parse
 from .grammar import Grammar
-from .tables import compile_tables
 
 _EPS = 1e-9
 
@@ -45,6 +44,14 @@ class ScoreWeights:
         bad = set(data) - known
         if bad:
             raise ValueError(f"unknown weight keys: {sorted(bad)}")
+        for k, v in data.items():
+            # a NaN weight would leave the rescored order undefined
+            try:
+                finite = not isinstance(v, bool) and math.isfinite(v)
+            except (TypeError, OverflowError):
+                finite = False
+            if not finite:
+                raise ValueError(f"weight {k!r}: expected a finite number, got {v!r}")
         return ScoreWeights(**{k: float(v) for k, v in data.items()})
 
     @staticmethod
@@ -224,6 +231,8 @@ def read_nbest(path: str) -> dict[str, list[Hypothesis]]:
                 rec = float(rec_s)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
+            if not math.isfinite(rec):
+                raise ValueError(f"line {lineno}: recognizer score {rec_s!r} is not finite")
             groups.setdefault(utt, []).append(
                 Hypothesis(utt, rank, rec, tuple(words_s.split()))
             )
@@ -237,17 +246,19 @@ def rescore(grammar: Grammar, groups: dict[str, list[Hypothesis]],
             depth: str = "deferred",
             lookahead: bool = True) -> list[RescoredHypothesis]:
     """Parse every hypothesis robustly, score it, and reorder each
-    utterance's list by rec + scale * score (stable on ties)."""
+    utterance's list by rec + scale * score (stable on ties).
+
+    The parses use the grammar's own tables, so every call on one
+    grammar shares their semantic memo."""
     if weights is None:
         weights = ScoreWeights()
-    tables = compile_tables(grammar, strategy)
     out: list[RescoredHypothesis] = []
     for utt in groups:
         scored: list[tuple[float, Hypothesis, FragmentCover, float]] = []
         for hyp in groups[utt]:
             result = parse(
                 grammar, list(hyp.words), strategy=strategy, depth=depth,
-                lookahead=lookahead, robust=True, tables=tables,
+                lookahead=lookahead, robust=True,
             )
             cover = min_fragment_cover(result, weights)
             nl = nl_score(cover, weights)

@@ -36,6 +36,7 @@ from .terms import (
     FeatureTerm,
     Var,
     canonical,
+    leaves,
     refresh,
     resolve,
     unify_values,
@@ -260,7 +261,33 @@ def _finish_sorted(grammar: Grammar, depth: str, lf_ann: object,
     if normalized is None:
         return []
     binds, deferred = normalized
-    return [Reading(resolve(lf_ann, binds), resolve(semterm, binds), deferred)]
+    lf, semterm = resolve(lf_ann, binds), resolve(semterm, binds)
+    if inherited and deferred:
+        # a daughter the template drops leaves its open choices behind;
+        # once they are gone, the rest may have a single solution
+        live = _live_choices(deferred, (lf, semterm))
+        if len(live) < len(deferred):
+            binds, deferred = normalize_deferred(live, binds)
+            lf, semterm = resolve(lf, binds), resolve(semterm, binds)
+    return [Reading(lf, semterm, deferred)]
+
+
+def _live_choices(choices: tuple[DeferredAssignment, ...],
+                  roots: tuple[object, ...]) -> list[DeferredAssignment]:
+    """The choices whose slots share a variable with `roots`, directly
+    or through other such choices, in their order. The others constrain
+    nothing in the reading."""
+    seen = {v for root in roots for v in leaves(root) if isinstance(v, Var)}
+    slot_vars = [{v for v in leaves(a.slot) if isinstance(v, Var)} for a in choices]
+    live = [False] * len(choices)
+    grew = True
+    while grew:
+        grew = False
+        for i, vs in enumerate(slot_vars):
+            if not live[i] and not vs.isdisjoint(seen):
+                live[i] = grew = True
+                seen |= vs
+    return [a for a, keep in zip(choices, live) if keep]
 
 
 def lexical_instance(grammar: Grammar, entry: LexEntry,

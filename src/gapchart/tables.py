@@ -43,7 +43,9 @@ class CompiledTables:
     Tables are meant to be reused across utterances: `memo` keeps the
     semantic work of the parses made with them (lexical readings and
     reading combinations), so later utterances share it. The engine
-    fills and bounds the memo; callers never set it.
+    fills the memo and evicts its least recently used entries; callers
+    never set it. The grammar is not changed once it has tables, and
+    tables serve one thread at a time.
     """
 
     strategy: str

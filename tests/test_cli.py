@@ -190,15 +190,40 @@ def test_cover_weights_file(capsys, tmp_path):
     assert out[0].split("\t")[4] == "?list ?flights"
 
 
-def test_cover_bad_weights_exits_1(capsys, tmp_path):
+# each names the key the error message must name
+BAD_WEIGHTS = [
+    pytest.param('{"bogus": 1}', "bogus", id="unknown-key"),
+    pytest.param('{"scale": null}', "'scale'", id="null"),
+    pytest.param('{"scale": [1]}', "'scale'", id="list"),
+    pytest.param('{"scale": true}', "'scale'", id="bool"),
+    pytest.param('{"scale": "nan"}', "'scale'", id="string"),
+    pytest.param('{"fallback_cost": NaN}', "'fallback_cost'", id="nan"),
+    pytest.param('{"sentence_bonus": Infinity}', "'sentence_bonus'", id="inf"),
+    pytest.param('{"scale": 1%s}' % ("0" * 400), "'scale'", id="too-large"),
+]
+
+
+@pytest.mark.parametrize("text, key", BAD_WEIGHTS)
+def test_cover_bad_weights_exits_1(capsys, tmp_path, text, key):
     weights = tmp_path / "w.json"
-    weights.write_text('{"bogus": 1}')
+    weights.write_text(text)
     code, _out, err = run(
         capsys, "cover", FRAGMENTS, "--utt", "list flights",
         "--weights", str(weights),
     )
     assert code == 1
-    assert err and err[0].startswith("input:")
+    assert err and err[0].startswith("input:") and key in err[0]
+
+
+@pytest.mark.parametrize("text, key", BAD_WEIGHTS)
+def test_rescore_bad_weights_exits_1(capsys, tmp_path, text, key):
+    weights = tmp_path / "w.json"
+    weights.write_text(text)
+    code, _out, err = run(
+        capsys, "rescore", FRAGMENTS, "--nbest", NBEST, "--weights", str(weights),
+    )
+    assert code == 1
+    assert err and err[0].startswith("input:") and key in err[0]
 
 
 def test_rescore_golden_rows(capsys):
@@ -212,12 +237,18 @@ def test_rescore_golden_rows(capsys):
     ]
 
 
-def test_rescore_malformed_nbest_exits_1(capsys, tmp_path):
+@pytest.mark.parametrize("text", [
+    pytest.param("onlyonefield\n", id="one-field"),
+    pytest.param("u\t1\tx\tlist flights\n", id="non-numeric-score"),
+    pytest.param("u\t1\tnan\tlist flights\n", id="nan-score"),
+    pytest.param("u\t1\t-1\tlist flights\nu\t2\t-inf\tof q\n", id="inf-score-on-line-2"),
+])
+def test_rescore_malformed_nbest_exits_1(capsys, tmp_path, text):
     bad = tmp_path / "bad.tsv"
-    bad.write_text("onlyonefield\n")
+    bad.write_text(text)
     code, _out, err = run(capsys, "rescore", FRAGMENTS, "--nbest", str(bad))
     assert code == 1
-    assert err and "line 1" in err[0]
+    assert err and err[0].startswith("input:") and f"line {text.count(chr(10))}" in err[0]
 
 
 def test_missing_required_argument_is_a_usage_error(capsys):

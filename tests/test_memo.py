@@ -1,16 +1,23 @@
 """Semantic work shared through the compiled tables.
 
 Tables memoise lexical instances and reading combinations, and every
-use puts renamed copies into the chart. These tests check the invariant
-that makes the memo's keys sound (no two readings of one chart share a
-variable), that tables which have already parsed a corpus give the same
-results as fresh ones, and that the memo stays within its bound.
+use puts renamed copies into the chart. A grammar keeps one set
+of tables per strategy for the parses that pass none. These tests check
+the invariant that makes the memo's keys sound (no two readings of one
+chart share a variable), that tables which have already parsed a
+corpus give the same results as fresh ones, that the grammar's tables
+are compiled once and shared by every `rescore` call, and that the
+memo stays within its bound by evicting its least recently used
+entries.
 """
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
+from gapchart import engine
 from gapchart.data import path as data_path, read_text
 from gapchart.engine import MEMO_LIMIT, parse, tokenize
 from gapchart.grammar import load_grammar, parse_grammar
@@ -143,26 +150,120 @@ def test_rescoring_does_not_depend_on_hypothesis_order(sorts_grammar, fragments_
                 == _rescored(grammar, groups, depth))
 
 
+def _noun_grammar(nouns):
+    """sorts.gram plus one noun per number, each bringing its own
+    lexical instance and combinations."""
+    return parse_grammar(read_text("sorts.gram") + "".join(
+        f"lex noun{i} : n() -> thing{i}\nsort thing{i} : person\n" for i in nouns))
+
+
+def _noun_of(key) -> int | None:
+    """The noun a memo key belongs to; None for a key every utterance
+    uses (the words "the" and "flies", the verb phrase)."""
+    found = re.search(r"(?:noun|thing)(\d+)", repr(key))
+    return int(found[1]) if found else None
+
+
 def test_memo_stays_within_its_bound():
-    # each noun brings its own lexical instance and combinations
     nouns = range(MEMO_LIMIT // 2)
-    text = read_text("sorts.gram") + "".join(
-        f"lex noun{i} : n() -> thing{i}\nsort thing{i} : person\n" for i in nouns)
-    grammar = parse_grammar(text)
+    grammar = _noun_grammar(nouns)
     tables = compile_tables(grammar, "llc")
     utterances = [f"the noun{i} flies" for i in nouns]
     sizes = []
+    evictions = 0
     for utt in utterances:
         for depth in SEM_DEPTHS:
+            before = list(tables.memo)
             _parse(grammar, utt, depth, tables)
             sizes.append(len(tables.memo))
-    assert max(sizes) <= MEMO_LIMIT
-    assert any(b < a for a, b in zip(sizes, sizes[1:])), "the memo was never cleared"
+            evicted = set(before) - set(tables.memo)
+            if not evicted:
+                continue
+            evictions += 1
+            # the keys every utterance touches are never the oldest; the
+            # evicted ones belong to the earliest nouns still held
+            assert all(_noun_of(k) is not None for k in evicted), utt
+            held = [_noun_of(k) for k in tables.memo if _noun_of(k) is not None]
+            assert max(map(_noun_of, evicted)) <= min(held), utt
+    assert max(sizes) == MEMO_LIMIT
+    assert sizes[-1] == MEMO_LIMIT and evictions > 0
     for utt in utterances[::7]:
         for depth in SEM_DEPTHS:
             cold = compile_tables(grammar, "llc")
             assert (_snapshot(_parse(grammar, utt, depth, tables))
                     == _snapshot(_parse(grammar, utt, depth, cold))), utt
+
+
+def _count_semantic_work(monkeypatch) -> list[int]:
+    """Count the memo's misses: the engine's calls of `combine_readings`
+    and `lexical_instance`."""
+    calls = [0]
+
+    def counting(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("combine_readings", "lexical_instance"):
+        monkeypatch.setattr(engine, name, counting(getattr(engine, name)))
+    return calls
+
+
+def test_an_entry_used_just_before_the_memo_fills_survives_eviction(monkeypatch):
+    nouns = range(MEMO_LIMIT // 2)
+    grammar = _noun_grammar(nouns)
+    tables = compile_tables(grammar, "llc")
+    misses = _count_semantic_work(monkeypatch)
+    kept, dropped = "the noun0 flies", "the noun1 flies"
+    for i in nouns:
+        if len(tables.memo) >= MEMO_LIMIT - 8:
+            break
+        _parse(grammar, f"the noun{i} flies", "sorts", tables)
+    _parse(grammar, kept, "sorts", tables)
+    # fill the memo and evict a few entries
+    for j in range(i, i + 8):
+        _parse(grammar, f"the noun{j} flies", "sorts", tables)
+    assert len(tables.memo) == MEMO_LIMIT
+    misses[0] = 0
+    _parse(grammar, kept, "sorts", tables)
+    assert misses[0] == 0
+    _parse(grammar, dropped, "sorts", tables)
+    assert misses[0] > 0
+
+
+def test_parses_without_tables_compile_once_per_grammar_and_strategy(monkeypatch):
+    compiled = []
+
+    def counting(grammar, strategy):
+        compiled.append((id(grammar), strategy))
+        return compile_tables(grammar, strategy)
+
+    monkeypatch.setattr(engine, "compile_tables", counting)
+    grammars = [load_grammar(data_path("toy.gram")) for _ in range(2)]
+    for grammar in grammars:
+        for strategy in ("bu", "llc", "bu", "llc"):
+            for depth in ("syn", "sem"):
+                parse(grammar, tokenize("the pilot booked the flight"), strategy=strategy,
+                      depth=depth)
+    assert sorted(compiled) == sorted(
+        (id(g), s) for g in grammars for s in ("bu", "llc"))
+    assert all(set(g.compiled) == {"bu", "llc"} for g in grammars)
+
+
+@pytest.mark.parametrize("depth", ("syn", *SEM_DEPTHS))
+def test_a_second_rescore_call_shares_the_first_calls_semantic_work(monkeypatch, depth):
+    groups = read_nbest(data_path("nbest.tsv"))
+    first, second = ({utt: groups[utt]} for utt in groups)
+    warm = load_grammar(data_path("fragments.gram"))
+    rescore(warm, first, depth=depth)
+    misses = _count_semantic_work(monkeypatch)
+    warm_rows = rescore(warm, second, depth=depth)
+    warm_misses, misses[0] = misses[0], 0
+    fresh_rows = rescore(load_grammar(data_path("fragments.gram")), second, depth=depth)
+    assert [r.row() for r in warm_rows] == [r.row() for r in fresh_rows]
+    # at `syn` only the lexical lookups are memoised
+    assert warm_misses < misses[0]
 
 
 @pytest.mark.parametrize("depth", ("syn", "sem"))

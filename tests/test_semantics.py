@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pytest
+
+from gapchart.data import read_text
 from gapchart.engine import parse, tokenize
 from gapchart.grammar import parse_grammar
 
@@ -220,3 +223,81 @@ def test_lf_variable_bound_to_a_term_inside_a_larger_phrase():
     assert renders(results["sem"]) == ["sem(idx=_1) :: [say,[run,c(k=_2)]]"]
     assert len(renders(results["sorts"])) == 1
     assert renders(results["deferred"]) == renders(results["sorts"])
+
+
+DROPPED_DAUGHTER = """
+start s()
+rule r : s() -> p() q()
+rule k : s() -> q() p()
+sem r : [f, D1]
+sem k : D2
+lex x : p() -> x
+lex y : q() -> y
+sort f : (e -> t)
+sort x : e
+sort x : t
+sort y : e
+sort y : t
+"""
+
+
+def test_a_dropped_daughter_leaves_no_open_choice_behind():
+    # `r` drops y and `k` drops y too; x's own choice stays open under
+    # `k`, whose reading is x itself, and is settled by f under `r`
+    g = parse_grammar(DROPPED_DAUGHTER)
+    for words in (["x", "y"], ["y", "x"]):
+        sorts = parse(g, words, depth="sorts")
+        deferred = parse(g, words, depth="deferred")
+        assert renders(deferred) == renders(sorts)
+        assert [[r.render for r in e.readings] for e in deferred.complete_edges()] == [
+            ["sem() :: ([(f;(([e])->[t])),(x;[e])];[t])"] if words[0] == "x"
+            else ["sem() :: (x;_1) ? x(_1) in {[e],[t]}"]
+        ]
+
+
+# ambig.gram with a template per rule that keeps every daughter, so
+# each tree has its own logical form
+AMBIG_SEM = """
+sem vp_v : [D1, D2]
+sem vp_pp : [D2, D1]
+sem np_pp : [D2, D1]
+sem pp_p : [D1, D2]
+sem s_nv : [D2, D1]
+sem np_dn : D2
+"""
+AMBIG_TEMPLATES = {"vp_v": (1, 2), "vp_pp": (2, 1), "np_pp": (2, 1), "pp_p": (1, 2),
+                   "s_nv": (2, 1), "np_dn": 2}
+
+
+def _tree_lf(tree: str) -> str:
+    """The render of a tree's logical form under AMBIG_SEM."""
+    tokens = tree.replace("(", " ( ").replace(")", " ) ").split()
+
+    def build(i: int) -> tuple[str, int]:
+        if tokens[i] != "(":
+            return tokens[i], i + 1
+        rule, i = tokens[i + 1], i + 2
+        daughters = []
+        while tokens[i] != ")":
+            lf, i = build(i)
+            daughters.append(lf)
+        template = AMBIG_TEMPLATES[rule]
+        if isinstance(template, int):
+            return daughters[template - 1], i + 1
+        return "[" + ",".join(daughters[d - 1] for d in template) + "]", i + 1
+
+    return "sem() :: " + build(0)[0]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 3: at `sem` a later derivation's reading joins an existing "
+    "edge, and parents already built never combine it"))
+@pytest.mark.parametrize("strategy", ("bu", "llc", "lc"))
+def test_every_tree_of_an_attachment_ambiguity_has_its_reading_at_sem(strategy):
+    g = parse_grammar(read_text("ambig.gram") + AMBIG_SEM)
+    for utt, n in (("the man saw the dog with the telescope", 2),
+                   ("the man saw the dog with the telescope in the park", 5)):
+        result = parse(g, tokenize(utt), strategy=strategy, depth="sem")
+        lfs = sorted({_tree_lf(t) for t in result.trees()})
+        assert len(lfs) == n
+        assert renders(result) == lfs, utt
