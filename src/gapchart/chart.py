@@ -4,9 +4,10 @@ Edges pack derivations: a new derivation whose category is an
 alphabetic variant of an edge's over the same span joins that edge
 instead of growing the chart. A more general or more specific category
 is a new edge, so every derivation of an edge has exactly the edge's
-category and its trees can be read off without re-unifying. Edges
-carrying semantic readings only interact when their semantic keys
-agree, so semantically distinct analyses stay distinct edges.
+category and its trees can be read off without re-unifying. Above
+`syn` an edge carries one reading, and a derivation packs only into an
+edge whose reading has the same render, so every reading is its own
+edge and reaches every parent built over it.
 
 `ForestFold` folds the packed forest below an edge bottom-up, cutting
 unproductive cycles; tree counting and dispreference are both folds.
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Generic, TypeVar
 
 from .grammar import Rule
+from .semantics import Reading
 from .tables import CompiledTables
 from .terms import (
     FeatureTerm,
@@ -55,22 +57,21 @@ class Derivation:
 
 
 class Edge:
-    """A span with a category, packed derivations, and optional readings."""
+    """A span with a category, packed derivations, and the one reading
+    they share (None at `syn`)."""
 
-    __slots__ = ("id", "start", "end", "cat", "derivations", "readings",
-                 "sem_key", "_deriv_keys", "_reading_renders")
+    __slots__ = ("id", "start", "end", "cat", "derivations", "reading",
+                 "_deriv_keys")
 
     def __init__(self, eid: int, start: int, end: int, cat: FeatureTerm,
-                 sem_key: str | None):
+                 reading: Reading | None):
         self.id = eid
         self.start = start
         self.end = end
         self.cat = cat
         self.derivations: list[Derivation] = []
-        self.readings: list | None = None
-        self.sem_key = sem_key
+        self.reading = reading
         self._deriv_keys: set[tuple] = set()
-        self._reading_renders: set[str] = set()
 
     @property
     def backbone(self) -> str:
@@ -83,16 +84,6 @@ class Edge:
         self._deriv_keys.add(key)
         self.derivations.append(d)
         return True
-
-    def add_readings(self, readings: list | None) -> None:
-        if readings is None:
-            return
-        if self.readings is None:
-            self.readings = []
-        for r in readings:
-            if r.render not in self._reading_renders:
-                self._reading_renders.add(r.render)
-                self.readings.append(r)
 
     def __repr__(self) -> str:
         return f"<edge {self.id} {self.start}-{self.end} {canonical(self.cat)}>"
@@ -174,23 +165,21 @@ class Chart:
     # -- edges ---------------------------------------------------------
 
     def add_edge(self, start: int, end: int, cat: FeatureTerm,
-                 derivation: Derivation, readings: list | None = None,
-                 sem_key: str | None = None) -> tuple[Edge, str]:
-        """Insert a derivation; returns (edge, outcome) where outcome is
-        "new", "packed", or "duplicate"."""
-        group = (start, end, cat.backbone, sem_key)
+                 derivation: Derivation,
+                 reading: Reading | None = None) -> tuple[Edge, str]:
+        """Insert a derivation with its reading (None at `syn`); returns
+        (edge, outcome) where outcome is "new", "packed", or
+        "duplicate". A derivation packs into an edge whose category is a
+        variant of `cat` and whose reading has the same render."""
+        group = (start, end, cat.backbone, None if reading is None else reading.render)
         peers = self._by_group.setdefault(group, [])
         for other in peers:
             if variants(other.cat, cat):
-                # readings merge even when the derivation is already known
                 added = other.add_derivation(derivation)
-                other.add_readings(readings)
                 return other, ("packed" if added else "duplicate")
-        edge = Edge(self._next_id, start, end, cat, sem_key)
+        edge = Edge(self._next_id, start, end, cat, reading)
         self._next_id += 1
         edge.add_derivation(derivation)
-        if readings is not None:
-            edge.add_readings(readings)
         self.edges.append(edge)
         self._by_end[end].append(edge)
         peers.append(edge)

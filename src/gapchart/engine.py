@@ -20,12 +20,16 @@ Each use of an edge in one derivation gets its own variables: an edge
 that fills a second daughter position (only an empty edge can) is
 matched and combined as a renamed copy.
 
+Above `syn` an edge carries one reading: a derivation with several
+readings goes into the chart once per reading, and each reading edge
+is reduced on its own, so every reading reaches every parent.
+
 Semantic work is memoised on the compiled tables, so every parse made
 with one set of tables shares it, and a grammar keeps one set per
 strategy for the parses that pass none: a lexical entry's readings are
 keyed by word, entry and depth, and a reading combination by rule,
-depth and the daughters' reading renders. A full memo evicts its least
-recently used entry. Every use, the first included, puts
+depth and the render of each daughter's reading. A full memo evicts
+its least recently used entry. Every use, the first included, puts
 renamed copies into the chart (a reading without variables is its own
 copy), so no two readings of a chart share a variable, and no two
 daughters of one combination do; that is what makes the key exact.
@@ -42,13 +46,11 @@ from .chart import Chart, Derivation, Edge, ForestFold
 from .grammar import Grammar, Rule
 from .semantics import (
     DEPTHS,
-    SEM,
     SORTS_DEFERRED,
     SORTS_IMMEDIATE,
     SYN,
     Reading,
     combine_readings,
-    group_readings,
     lexical_instance,
     resolve_reading,
 )
@@ -124,18 +126,17 @@ class ParseResult:
         out: list[Reading] = []
         seen: set[str] = set()
         for edge in self.complete_edges():
-            if edge.readings is None:
+            if edge.reading is None:
                 continue
-            for reading in edge.readings:
-                expanded = (
-                    resolve_reading(reading)
-                    if self.depth == SORTS_DEFERRED
-                    else [reading]
-                )
-                for r in expanded:
-                    if r.render not in seen:
-                        seen.add(r.render)
-                        out.append(r)
+            expanded = (
+                resolve_reading(edge.reading)
+                if self.depth == SORTS_DEFERRED
+                else [edge.reading]
+            )
+            for r in expanded:
+                if r.render not in seen:
+                    seen.add(r.render)
+                    out.append(r)
         return out
 
     def trees(self, limit: int | None = None) -> list[str]:
@@ -143,7 +144,8 @@ class ParseResult:
 
         The list holds every tree of every complete edge, in edge order,
         derivation order, and then `itertools.product` order over the
-        daughters; `trees(n)` is exactly `trees()[:n]`. Each tree is
+        daughters; `trees(n)` is exactly `trees()[:n]`. Above `syn` a
+        tree is listed once per reading edge that holds it. Each tree is
         unranked from per-edge tree counts rather than expanded, so the
         first n trees cost time linear in the forest and in their own
         size, not in the number of trees. Cyclic derivations (possible only through unproductive
@@ -268,7 +270,7 @@ class _Parser:
                 del memo[next(iter(memo))]
             got = compute(self.grammar, *args, self.depth)
         memo[key] = got
-        return None if got is None else _renamed(got)
+        return None if got is None else [r.renamed() for r in got]
 
     def _combine(self, rule: Rule, daughters: tuple[Edge, ...]) -> list[Reading] | None:
         """The readings of a phrase; None at `syn`, and [] for a veto."""
@@ -276,20 +278,17 @@ class _Parser:
             return None
         # an edge that fills two daughter positions (an empty edge can)
         # gets fresh variables for each use after the first
-        dreadings = [_renamed(d.readings) if d in daughters[:i] else d.readings
+        dreadings = [d.reading.renamed() if d in daughters[:i] else d.reading
                      for i, d in enumerate(daughters)]
-        key = (rule.name, self.depth,
-               tuple([tuple([r.render for r in rs]) for rs in dreadings]))
+        key = (rule.name, self.depth, tuple([r.render for r in dreadings]))
         return self._recall(key, combine_readings, rule, dreadings)
 
     def _add(self, start: int, end: int, cat: FeatureTerm, derivation: Derivation,
              readings: list[Reading] | None) -> Iterator[Edge]:
-        """Insert a derivation, one edge per reading group (one edge at
-        `syn`), and yield each new edge as soon as it is in the chart."""
-        groups = ([(None, None)] if readings is None
-                  else group_readings(readings, self.depth))
-        for key, group in groups:
-            edge, outcome = self.chart.add_edge(start, end, cat, derivation, group, key)
+        """Insert a derivation once per reading (once at `syn`), and
+        yield each new edge as soon as it is in the chart."""
+        for reading in [None] if readings is None else readings:
+            edge, outcome = self.chart.add_edge(start, end, cat, derivation, reading)
             if outcome == "new":
                 if self.trace is not None:
                     self._say("ADD-EDGE", edge.id, start, end, canonical(cat))
@@ -443,10 +442,6 @@ class _Parser:
             if b2 is None:
                 continue
             yield from self._match_trailing(elems[1:], at, b2, (*matched, edge))
-
-
-def _renamed(readings: list[Reading]) -> list[Reading]:
-    return [r.renamed() for r in readings]
 
 
 def tokenize(utterance: str) -> list[str]:

@@ -23,6 +23,7 @@ ones with fresh variables; mentioning an undeclared feature is an error.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -488,6 +489,8 @@ def parse_grammar(text: str) -> Grammar:
                 try:
                     weight = float(tok)
                 except ValueError:
+                    weight = math.nan
+                if not math.isfinite(weight):
                     p.error(f"bad weight {tok!r}")
                     continue
             if not p.at_end():

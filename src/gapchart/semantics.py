@@ -7,11 +7,15 @@ Parsing runs at one of four depths:
   buildable reading is rejected.
 * ``sorts``: additionally, every sort-annotated reading must type-check;
   each consistent assignment of sorts to atom occurrences is a separate
-  reading (and a separate edge).
+  reading.
 * ``deferred``: sortal choices that the phrase built so far does not
   determine are carried as deferred assignments (an atom occurrence with
   its surviving candidate sorts) instead of being multiplied out; they
   are resolved when enclosing structure narrows them, or on demand.
+
+At every depth but ``syn`` an edge carries exactly one reading, so a
+phrase's readings are combined from one reading per daughter, and two
+readings of one span and category with different renders are two edges.
 
 Both sortal depths collect the same choices, one per atom occurrence
 the daughters left open: `sorts` multiplies out the choices `deferred`
@@ -110,17 +114,6 @@ class Reading:
 
     def __repr__(self) -> str:
         return f"<reading {self.render}>"
-
-
-def group_readings(readings: list[Reading], depth: str) -> list[tuple[str, list[Reading]]]:
-    """The readings grouped by packing key: readings with equal keys
-    share an edge. At `sem` the key is the semantic feature term, at the
-    sorts depths the whole render."""
-    groups: dict[str, list[Reading]] = {}
-    for r in readings:
-        key = canonical(r.semterm) if depth == SEM else r.render
-        groups.setdefault(key, []).append(r)
-    return list(groups.items())
 
 
 # -- annotation and the constraint network ------------------------------
@@ -305,29 +298,28 @@ def lexical_instance(grammar: Grammar, entry: LexEntry,
 
 
 def combine_readings(grammar: Grammar, rule: Rule,
-                     daughter_readings: list[list[Reading]],
+                     daughter_readings: list[Reading],
                      depth: str) -> list[Reading]:
-    """Readings for a phrase built by `rule` over daughters' readings.
+    """Readings for a phrase built by `rule` over one reading per
+    daughter.
 
-    Every semantic rule for the syntax rule is tried against every
-    combination of daughter readings; combinations that fail feature
-    unification or sortal typing contribute nothing. An empty result
-    vetoes the phrase.
+    Every semantic rule for the syntax rule is applied once; one that
+    fails feature unification or sortal typing contributes nothing, and
+    two that give the same render contribute one reading. An empty
+    result vetoes the phrase.
     """
-    sem_rules = grammar.sem_rules.get(rule.name, ())
     out: list[Reading] = []
     seen: set[str] = set()
-    for sem_rule in sem_rules:
-        for combo in itertools.product(*daughter_readings):
-            for reading in _apply_sem_rule(grammar, sem_rule, combo, depth):
-                if reading.render not in seen:
-                    seen.add(reading.render)
-                    out.append(reading)
+    for sem_rule in grammar.sem_rules.get(rule.name, ()):
+        for reading in _apply_sem_rule(grammar, sem_rule, daughter_readings, depth):
+            if reading.render not in seen:
+                seen.add(reading.render)
+                out.append(reading)
     return out
 
 
 def _apply_sem_rule(grammar: Grammar, sem_rule: SemRule,
-                    combo: tuple[Reading, ...], depth: str) -> list[Reading]:
+                    combo: Sequence[Reading], depth: str) -> list[Reading]:
     mapping: dict[Var, Var] = {}
     template = refresh(sem_rule.template, mapping)
     if sem_rule.head_sem is not None:

@@ -3,8 +3,9 @@
 Everything here recomputes expected values by a different route than the
 library: a substitution-composition unifier, closure by boolean matrix
 powers, derivation search for nullability, an exhaustive span-table
-parser, and brute-force tiling enumeration. Nothing imports from the
-chart engine itself; only the basic term/grammar data types are shared.
+parser, tree-by-tree logical forms, and brute-force tiling enumeration.
+Nothing imports from the chart engine itself; only the basic
+term/grammar data types are shared.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 import math
 
 from gapchart.grammar import Grammar
-from gapchart.lf import SAtom, SFunc
+from gapchart.lf import LFApp, Placeholder, SAtom, SFunc
 from gapchart.terms import FeatureTerm, Var, refresh
 
 # -- substitution-composition unifier -------------------------------------
@@ -290,6 +291,59 @@ def exhaustive_parse(grammar: Grammar, words: list[str],
         if unify_values(fresh_start, cat, EMPTY_BINDS) is not None:
             out.append(tree)
     return out
+
+
+# -- tree-by-tree logical forms ---------------------------------------------
+#
+# Reads the logical forms of one unpacked tree off the tree itself: each
+# node applies every `sem` template of its rule to every combination of
+# its daughters' logical forms, written straight into the template's
+# text. Covers grammars whose templates and lexical logical forms have no
+# variables and whose `sem` lines have no `with` clause.
+
+
+def tree_lfs(grammar: Grammar, tree: str) -> set[str]:
+    """The renders of every logical form `tree` (an s-expression as
+    `ParseResult.trees` writes it) has at `sem`."""
+    tokens = tree.replace("(", " ( ").replace(")", " ) ").split()
+    lfs, end = _node_lfs(grammar, tokens, 0, None)
+    assert end == len(tokens), tree
+    return lfs
+
+
+def _node_lfs(grammar: Grammar, tokens: list[str], i: int,
+              backbone: str | None) -> tuple[set[str], int]:
+    """The logical forms of the subtree at token i, whose category has
+    `backbone` (None at the root), and the index after it."""
+    if tokens[i] != "(":
+        entries = [e for e in grammar.lexicon[tokens[i]]
+                   if backbone is None or e.cat.backbone == backbone]
+        return {_fill(e.lf, ()) for e in entries}, i + 1
+    name, i = tokens[i + 1], i + 2
+    (rule,) = [r for r in grammar.rules if r.name == name]
+    daughters = []
+    for elem in rule.rhs:
+        lfs, i = _node_lfs(grammar, tokens, i, elem.backbone)
+        daughters.append(sorted(lfs))
+    assert tokens[i] == ")", tokens
+    out = set()
+    for sem_rule in grammar.sem_rules.get(name, ()):
+        if sem_rule.head_sem is not None or sem_rule.dsems is not None:
+            raise ValueError(f"`with` clause on rule {name}")
+        for combo in itertools.product(*daughters):
+            out.add(_fill(sem_rule.template, combo))
+    return out, i + 1
+
+
+def _fill(template: object, daughters: tuple[str, ...]) -> str:
+    if isinstance(template, Placeholder):
+        return daughters[template.index - 1]
+    if isinstance(template, LFApp):
+        parts = (template.functor, *template.args)
+        return "[" + ",".join(_fill(x, daughters) for x in parts) + "]"
+    if isinstance(template, str):
+        return template
+    raise ValueError(f"logical form {template!r} is not an atom or an application")
 
 
 # -- exhaustive fragment tiling --------------------------------------------

@@ -22,7 +22,6 @@ lex w : np()
 class FakeReading:
     def __init__(self, render: str):
         self.render = render
-        self.deferred = ()
 
 
 @pytest.fixture
@@ -68,30 +67,22 @@ def test_more_specific_and_more_general_cats_are_separate_edges(chart, specific_
     assert len(e1.derivations) == len(e2.derivations) == 1
 
 
-def test_distinct_sem_keys_stay_separate(chart):
-    cat = FeatureTerm("np")
-    e1, out1 = chart.add_edge(0, 1, cat, lex("w"), sem_key="k1")
-    e2, out2 = chart.add_edge(0, 1, FeatureTerm("np"), lex("w"), sem_key="k2")
+@pytest.mark.parametrize("word", ["w", "v"], ids=["same-derivation", "other-derivation"])
+def test_distinct_reading_renders_stay_separate(chart, word):
+    e1, out1 = chart.add_edge(0, 1, FeatureTerm("np"), lex("w"), FakeReading("r1"))
+    e2, out2 = chart.add_edge(0, 1, FeatureTerm("np"), lex(word), FakeReading("r2"))
     assert out1 == out2 == "new"
-    assert e1 is not e2
-
-
-def test_readings_merge_even_on_duplicate_derivation(chart):
-    cat = FeatureTerm("np")
-    e1, _ = chart.add_edge(0, 1, cat, lex("w"), readings=[FakeReading("r1")])
-    _, out = chart.add_edge(
-        0, 1, FeatureTerm("np"), lex("w"), readings=[FakeReading("r2")]
-    )
-    assert out == "duplicate"
-    assert sorted(r.render for r in e1.readings) == ["r1", "r2"]
+    assert e1 is not e2 and chart.edges == [e1, e2]
+    assert (e1.reading.render, e2.reading.render) == ("r1", "r2")
 
 
 def test_reading_renders_deduplicate(chart):
-    cat = FeatureTerm("np")
-    e1, _ = chart.add_edge(
-        0, 1, cat, lex("w"), readings=[FakeReading("same"), FakeReading("same")]
-    )
-    assert len(e1.readings) == 1
+    first = FakeReading("same")
+    e1, _ = chart.add_edge(0, 1, FeatureTerm("np"), lex("w"), first)
+    e2, out = chart.add_edge(0, 1, FeatureTerm("np"), lex("v"), FakeReading("same"))
+    # equal renders pack, and the pack keeps the edge's own reading
+    assert out == "packed" and e1 is e2 and e1.reading is first
+    assert len(e1.derivations) == 2 and chart.edges_created == 1
 
 
 def test_empty_edges_at_lists_every_empty_edge_at_the_position(chart):

@@ -190,6 +190,15 @@ def test_cover_weights_file(capsys, tmp_path):
     assert out[0].split("\t")[4] == "?list ?flights"
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf", "Infinity"])
+def test_cover_grammar_with_non_finite_disprefer_weight_exits_2(capsys, tmp_path, weight):
+    grammar = tmp_path / "g.gram"
+    grammar.write_text(f"start s()\nrule r : s() -> w()\nlex a : w()\ndisprefer r {weight}\n")
+    code, out, err = run(capsys, "cover", str(grammar), "--utt", "a", "--depth", "syn")
+    assert code == 2 and out == []
+    assert err == [f"grammar: line 4: bad weight {weight!r}"]
+
+
 # each names the key the error message must name
 BAD_WEIGHTS = [
     pytest.param('{"bogus": 1}', "bogus", id="unknown-key"),

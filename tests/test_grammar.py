@@ -200,6 +200,12 @@ def test_sem_with_wrong_daughter_count_is_an_error():
     assert errs
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf", "Infinity"])
+def test_disprefer_non_finite_weight_is_an_error(weight):
+    errs = _errors(f"start s()\nrule r : s() ->\nlex a : s()\ndisprefer r {weight}\n")
+    assert errs == [f"line 4: bad weight {weight!r}"]
+
+
 def test_disprefer_unknown_rule_is_an_error():
     errs = _errors("start s()\nrule r : s() ->\ndisprefer zap 1\n")
     assert any("zap" in e for e in errs)

@@ -78,12 +78,12 @@ def _reading_vars(reading) -> set[Var]:
 
 def _shared_vars(result) -> list[Var]:
     """Variables that occur in more than one reading of the chart."""
-    owner: dict[Var, tuple[int, int]] = {}
+    owner: dict[Var, int] = {}
     shared = []
     for edge in result.chart.edges:
-        for i, reading in enumerate(edge.readings or ()):
-            for v in _reading_vars(reading):
-                if owner.setdefault(v, (edge.id, i)) != (edge.id, i):
+        if edge.reading is not None:
+            for v in _reading_vars(edge.reading):
+                if owner.setdefault(v, edge.id) != edge.id:
                     shared.append(v)
     return shared
 
@@ -93,8 +93,7 @@ def _snapshot(result) -> tuple:
         result.chart.dump(),
         result.stats,
         result.trees(7),
-        [[r.render for r in e.readings] if e.readings is not None else None
-         for e in result.chart.edges],
+        [None if e.reading is None else e.reading.render for e in result.chart.edges],
         [r.render for r in result.complete_readings()],
     )
 
@@ -112,7 +111,7 @@ def test_deferred_phrase_does_not_share_its_daughters_slot(sorts_grammar):
     # the vp's deferred `fly` assignment is a copy, not the v edge's own
     result = parse(sorts_grammar, tokenize("the pilot flies"), depth="deferred")
     vp = [e for e in result.chart.edges if e.backbone == "vp"]
-    assert vp and all(r.deferred for e in vp for r in e.readings)
+    assert vp and all(e.reading.deferred for e in vp)
     assert _shared_vars(result) == []
 
 

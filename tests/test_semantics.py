@@ -7,6 +7,8 @@ import pytest
 from gapchart.data import read_text
 from gapchart.engine import parse, tokenize
 from gapchart.grammar import parse_grammar
+from gapchart.terms import canonical
+from oracles import tree_lfs
 
 
 def renders(result):
@@ -51,7 +53,7 @@ def test_deferred_carries_candidate_set_on_one_edge(sorts_grammar):
     v_edges = [e for e in r.chart.edges if e.backbone == "v"]
     assert len(v_edges) == 1
     assert r.stats.edges == 6
-    (reading,) = v_edges[0].readings
+    reading = v_edges[0].reading
     (assignment,) = reading.deferred
     assert assignment.atom == "fly"
     assert len(assignment.candidates) == 3
@@ -139,17 +141,18 @@ lex k : w() -> lfb with sem(idx=b)
 """
 
 
-def test_semantic_feature_terms_key_the_packing():
+def test_reading_renders_key_the_packing():
     g = parse_grammar(SEM_FEATURES)
     syn = parse(g, ["k"], depth="syn")
     sem = parse(g, ["k"], depth="sem")
     assert len([e for e in syn.chart.edges if e.backbone == "w"]) == 1
     assert len([e for e in sem.chart.edges if e.backbone == "w"]) == 2
-    # without a with-clause the head's semantic term is fresh, so both
-    # logical forms pool on one s edge but stay distinct readings
+    # without a with-clause the head's semantic term is fresh, so the
+    # two s readings differ only in their logical forms: two edges
     assert renders(sem) == ["sem(idx=_1) :: lfa", "sem(idx=_1) :: lfb"]
     s_edges = [e for e in sem.chart.edges if e.backbone == "s"]
-    assert len(s_edges) == 1 and len(s_edges[0].readings) == 2
+    assert sorted(e.reading.render for e in s_edges) == renders(sem)
+    assert sem.trees() == ["(r k)", "(r k)"]
 
 
 SEM_THREADING = """
@@ -249,9 +252,9 @@ def test_a_dropped_daughter_leaves_no_open_choice_behind():
         sorts = parse(g, words, depth="sorts")
         deferred = parse(g, words, depth="deferred")
         assert renders(deferred) == renders(sorts)
-        assert [[r.render for r in e.readings] for e in deferred.complete_edges()] == [
-            ["sem() :: ([(f;(([e])->[t])),(x;[e])];[t])"] if words[0] == "x"
-            else ["sem() :: (x;_1) ? x(_1) in {[e],[t]}"]
+        assert [e.reading.render for e in deferred.complete_edges()] == [
+            "sem() :: ([(f;(([e])->[t])),(x;[e])];[t])" if words[0] == "x"
+            else "sem() :: (x;_1) ? x(_1) in {[e],[t]}"
         ]
 
 
@@ -265,39 +268,19 @@ sem pp_p : [D1, D2]
 sem s_nv : [D2, D1]
 sem np_dn : D2
 """
-AMBIG_TEMPLATES = {"vp_v": (1, 2), "vp_pp": (2, 1), "np_pp": (2, 1), "pp_p": (1, 2),
-                   "s_nv": (2, 1), "np_dn": 2}
+ATTACHMENTS = [
+    ("ambig.gram", AMBIG_SEM, "the man saw the dog with the telescope", 2),
+    ("ambig.gram", AMBIG_SEM, "the man saw the dog with the telescope in the park", 5),
+    # an n-best hypothesis of the bundled rescoring data
+    ("fragments.gram", "", "list flights of fare code of q", 2),
+]
 
 
-def _tree_lf(tree: str) -> str:
-    """The render of a tree's logical form under AMBIG_SEM."""
-    tokens = tree.replace("(", " ( ").replace(")", " ) ").split()
-
-    def build(i: int) -> tuple[str, int]:
-        if tokens[i] != "(":
-            return tokens[i], i + 1
-        rule, i = tokens[i + 1], i + 2
-        daughters = []
-        while tokens[i] != ")":
-            lf, i = build(i)
-            daughters.append(lf)
-        template = AMBIG_TEMPLATES[rule]
-        if isinstance(template, int):
-            return daughters[template - 1], i + 1
-        return "[" + ",".join(daughters[d - 1] for d in template) + "]", i + 1
-
-    return "sem() :: " + build(0)[0]
-
-
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 3: at `sem` a later derivation's reading joins an existing "
-    "edge, and parents already built never combine it"))
 @pytest.mark.parametrize("strategy", ("bu", "llc", "lc"))
 def test_every_tree_of_an_attachment_ambiguity_has_its_reading_at_sem(strategy):
-    g = parse_grammar(read_text("ambig.gram") + AMBIG_SEM)
-    for utt, n in (("the man saw the dog with the telescope", 2),
-                   ("the man saw the dog with the telescope in the park", 5)):
+    for name, extra, utt, n in ATTACHMENTS:
+        g = parse_grammar(read_text(name) + extra)
         result = parse(g, tokenize(utt), strategy=strategy, depth="sem")
-        lfs = sorted({_tree_lf(t) for t in result.trees()})
-        assert len(lfs) == n
-        assert renders(result) == lfs, utt
+        lfs = set().union(*[tree_lfs(g, t) for t in set(result.trees())])
+        assert len(lfs) == n, utt
+        assert sorted(canonical(r.lf) for r in result.complete_readings()) == sorted(lfs), utt
