@@ -7,7 +7,11 @@ is a new edge, so every derivation of an edge has exactly the edge's
 category and its trees can be read off without re-unifying. Above
 `syn` an edge carries one reading, and a derivation packs only into an
 edge whose reading has the same render, so every reading is its own
-edge and reaches every parent built over it.
+edge and reaches every parent built over it. Edges are grouped by span,
+backbone and reading render; a ground category (one without variables)
+is grouped by the category itself, since its only variant is an equal
+term, so its group holds at most one edge and packs without a variant
+test.
 
 `ForestFold` folds the packed forest below an edge bottom-up, cutting
 unproductive cycles; tree counting and dispreference are both folds.
@@ -170,11 +174,13 @@ class Chart:
         """Insert a derivation with its reading (None at `syn`); returns
         (edge, outcome) where outcome is "new", "packed", or
         "duplicate". A derivation packs into an edge whose category is a
-        variant of `cat` and whose reading has the same render."""
-        group = (start, end, cat.backbone, None if reading is None else reading.render)
+        variant of `cat` and whose reading has the same render. A ground
+        category's only variant is itself, so it is its own group."""
+        group = (start, end, cat if cat.ground else cat.backbone,
+                 None if reading is None else reading.render)
         peers = self._by_group.setdefault(group, [])
         for other in peers:
-            if variants(other.cat, cat):
+            if cat.ground or variants(other.cat, cat):
                 added = other.add_derivation(derivation)
                 return other, ("packed" if added else "duplicate")
         edge = Edge(self._next_id, start, end, cat, reading)

@@ -159,6 +159,17 @@ def cmd_rescore(args) -> int:
     return 0
 
 
+def _tree_count(text: str) -> int:
+    """The `--trees` count: a whole number, 0 or more (else a usage error)."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = None
+    if n is None or n < 0:
+        raise argparse.ArgumentTypeError(f"expected a whole number 0 or more, got {text!r}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="gapchart",
@@ -191,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="skip unknown words instead of failing")
     p.add_argument("--trace", action="store_true",
                    help="write engine events to stderr")
-    p.add_argument("--trees", type=int, default=0, metavar="N",
+    p.add_argument("--trees", type=_tree_count, default=0, metavar="N",
                    help="print up to N parse trees per utterance")
     p.add_argument("--dump-chart", action="store_true")
     p.set_defaults(fn=cmd_parse)

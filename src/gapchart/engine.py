@@ -14,7 +14,10 @@ category can begin itself, so directly predicted phrases are covered).
 Grammar rules and prediction entries are unified as stored, against
 chart categories that never contain a rule's variables. Only a match
 that succeeds is copied: the new category or predicted sequence is
-resolved and then renamed once, so the chart holds renamed copies only.
+resolved and then renamed once, so the chart holds renamed copies. A
+ground category (one without variables: a feature-less rule head, a
+lexical category, the start category) is its own copy and goes into
+the chart shared, as it is; holding no variable, it shares none.
 
 Each use of an edge in one derivation gets its own variables: an edge
 that fills a second daughter position (only an empty edge can) is
@@ -31,8 +34,9 @@ keyed by word, entry and depth, and a reading combination by rule,
 depth and the render of each daughter's reading. A full memo evicts
 its least recently used entry. Every use, the first included, puts
 renamed copies into the chart (a reading without variables is its own
-copy), so no two readings of a chart share a variable, and no two
-daughters of one combination do; that is what makes the key exact.
+copy, as a ground category is), so no two readings of a chart share a
+variable, and no two daughters of one combination do; that is what
+makes the key exact.
 """
 
 from __future__ import annotations

@@ -168,7 +168,8 @@ def nl_score(cover: FragmentCover, weights: ScoreWeights | None = None) -> float
     """The robust parse score of a cover."""
     if weights is None:
         weights = ScoreWeights()
-    score = -(weights.fragment_cost * cover.count)
+    # 0.0 - x, unlike -x, is +0.0 when x is 0, so an empty cover scores 0.0000
+    score = 0.0 - weights.fragment_cost * cover.count
     if cover.is_single_sentence:
         score += weights.sentence_bonus
     score -= cover.dispreference

@@ -8,13 +8,19 @@ named feature values, which are atoms (plain strings), variables, or
 nested feature terms. All operations are non-destructive; bindings live
 in immutable dicts that are extended, never mutated, so failed branches
 cannot corrupt shared structure.
+
+A feature term with no variable anywhere in it is ground, and knows it
+from construction (`FeatureTerm.ground`). A ground term is its own
+copy: `resolve` and `refresh` return it as it is, `occurs` finds
+nothing in it, and `unify_values` accepts an equal ground pair without
+walking its features. Other nodes are never ground.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
 _var_ids = itertools.count(1)
@@ -47,6 +53,9 @@ class Node:
     build no intermediate list of children."""
 
     __slots__ = ()
+
+    # True only for a node known to hold no variable
+    ground = False
 
     def children(self) -> Iterable[object]:
         """The child values, in order."""
@@ -82,10 +91,14 @@ class FeatureTerm(Node):
 
     backbone: str
     feats: tuple[tuple[str, object], ...] = ()
+    # no variable anywhere in the term; set once, at construction
+    ground: bool = field(default=False, compare=False)
 
     def __init__(self, backbone: str, feats: Iterable[tuple[str, object]] = ()):
+        feats = tuple(sorted(feats, key=_by_name))
         object.__setattr__(self, "backbone", backbone)
-        object.__setattr__(self, "feats", tuple(sorted(feats, key=_by_name)))
+        object.__setattr__(self, "feats", feats)
+        object.__setattr__(self, "ground", _ground(feats))
 
     def get(self, name: str) -> object | None:
         for fname, fval in self.feats:
@@ -105,6 +118,7 @@ class FeatureTerm(Node):
         term = object.__new__(cls)
         object.__setattr__(term, "backbone", backbone)
         object.__setattr__(term, "feats", feats)
+        object.__setattr__(term, "ground", _ground(feats))
         return term
 
     def map(self, fn, arg) -> "FeatureTerm":
@@ -123,6 +137,14 @@ class FeatureTerm(Node):
         return f"{self.backbone}({inner})"
 
 
+def _ground(feats: tuple[tuple[str, object], ...]) -> bool:
+    # only plain atoms and ground terms count: anything unusual stays general
+    for _, v in feats:
+        if type(v) is not str and not (isinstance(v, FeatureTerm) and v.ground):
+            return False
+    return True
+
+
 def walk(value: object, binds: Binds) -> object:
     """Chase variable bindings until a non-variable or a free variable."""
     while isinstance(value, Var):
@@ -136,7 +158,8 @@ def walk(value: object, binds: Binds) -> object:
 def occurs(var: Var, value: object, binds: Binds) -> bool:
     value = walk(value, binds)
     if isinstance(value, Node):
-        return any(occurs(var, child, binds) for child in value.children())
+        return not value.ground and any(
+            occurs(var, child, binds) for child in value.children())
     return value is var
 
 
@@ -157,6 +180,10 @@ def unify_values(a: object, b: object, binds: Binds) -> Binds | None:
             return None
         return {**binds, b: a}
     if isinstance(a, Node):
+        if a.ground and a == b:
+            return binds
+        # unequal ground terms may still unify: features missing on one
+        # side leave no constraint
         pairs = a.pairs(b)
         if pairs is None:
             return None
@@ -171,7 +198,7 @@ def unify_values(a: object, b: object, binds: Binds) -> Binds | None:
 def resolve(value: object, binds: Binds) -> object:
     """Substitute bindings throughout, leaving free variables in place."""
     value = walk(value, binds)
-    if isinstance(value, Node):
+    if isinstance(value, Node) and not value.ground:
         return value.map(resolve, binds)
     return value
 
@@ -238,7 +265,7 @@ def refresh(value: object, mapping: dict[Var, Var]) -> object:
             got = Var(value.hint)
             mapping[value] = got
         return got
-    if isinstance(value, Node):
+    if isinstance(value, Node) and not value.ground:
         return value.map(refresh, mapping)
     return value
 

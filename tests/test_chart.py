@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from gapchart.chart import Chart, Derivation
 from gapchart.grammar import parse_grammar
 from gapchart.tables import compile_tables
-from gapchart.terms import FeatureTerm, Var
+from gapchart.terms import FeatureTerm, Var, variants
 
 
 MINI = """
@@ -57,14 +59,66 @@ def test_same_derivation_key_is_duplicate(chart):
 @pytest.mark.parametrize("specific_first", [True, False],
                          ids=["specific-first", "general-first"])
 def test_more_specific_and_more_general_cats_are_separate_edges(chart, specific_first):
+    # a ground category never takes in a more general one, nor the reverse
     specific = FeatureTerm("np", (("agr", "sg"),))
     general = FeatureTerm("np", (("agr", Var("A")),))
+    assert specific.ground and not general.ground
     cats = [specific, general] if specific_first else [general, specific]
     (e1, out1), (e2, out2) = [chart.add_edge(0, 1, cat, lex(w))
                               for cat, w in zip(cats, "wv")]
     assert out1 == out2 == "new"
     assert e1 is not e2 and chart.edges == [e1, e2]
     assert len(e1.derivations) == len(e2.derivations) == 1
+
+
+def test_equal_ground_cats_pack_into_one_edge(chart):
+    cat1 = FeatureTerm("np", (("agr", "sg"),))
+    cat2 = FeatureTerm("np", (("agr", "sg"),))
+    assert cat1.ground and cat1 == cat2 and cat1 is not cat2
+    e1, out1 = chart.add_edge(0, 1, cat1, lex("w"))
+    e2, out2 = chart.add_edge(0, 1, cat2, lex("v"))
+    e3, out3 = chart.add_edge(0, 1, cat2, lex("v"))
+    assert (out1, out2, out3) == ("new", "packed", "duplicate")
+    assert e1 is e2 is e3 and e1.cat is cat1
+    assert len(e1.derivations) == 2 and chart.edges_created == 1
+
+
+def test_distinct_ground_cats_are_separate_edges(chart):
+    (e1, out1), (e2, out2) = [chart.add_edge(0, 1, FeatureTerm("np", (("agr", agr),)),
+                                             lex("w"))
+                              for agr in ("sg", "pl")]
+    assert out1 == out2 == "new"
+    assert e1 is not e2 and chart.edges == [e1, e2]
+
+
+def test_outcomes_match_a_variant_scan_of_every_edge(chart):
+    # the reference packs into the first edge over the same span, with a
+    # variant category and the same render, whatever the grouping
+    rng = random.Random(5)
+    values = ["sg", "pl", FeatureTerm("c"), FeatureTerm("c", (("k", "v"),))]
+    kinds = set()
+    for _ in range(600):
+        agr = rng.choice(values + [Var("A"), FeatureTerm("c", (("k", Var("K")),))])
+        cat = FeatureTerm(rng.choice(["np", "vp"]),
+                          [("agr", agr)] if rng.random() < 0.8 else [])
+        start = rng.randint(0, 1)
+        reading = FakeReading(rng.choice(["r1", "r2"])) if rng.random() < 0.3 else None
+        derivation = lex(rng.choice("wv"))
+        peer = next((e for e in chart.edges
+                     if (e.start, e.end) == (start, 2) and variants(e.cat, cat)
+                     and (e.reading and e.reading.render) == (reading and reading.render)),
+                    None)
+        if peer is None:
+            expected = "new"
+        elif any(d.key == derivation.key for d in peer.derivations):
+            expected = "duplicate"
+        else:
+            expected = "packed"
+        edge, outcome = chart.add_edge(start, 2, cat, derivation, reading)
+        assert outcome == expected, (cat, reading and reading.render)
+        assert edge is (chart.edges[-1] if peer is None else peer)
+        kinds.add((cat.ground, outcome))
+    assert kinds == {(g, o) for g in (True, False) for o in ("new", "packed", "duplicate")}
 
 
 @pytest.mark.parametrize("word", ["w", "v"], ids=["same-derivation", "other-derivation"])

@@ -9,6 +9,7 @@ from gapchart.data import path as data_path
 
 
 TOY = data_path("toy.gram")
+AMBIG = data_path("ambig.gram")
 SORTS = data_path("sorts.gram")
 FRAGMENTS = data_path("fragments.gram")
 BAD = data_path("bad_closure.gram")
@@ -63,6 +64,21 @@ def test_parse_single_utterance(capsys):
     assert out[0] == "UTT\tthe pilot booked the flight"
     assert out[1] == "STATS\twords=5\tedges=9\tpreds=0\tcomplete=1"
     assert out[2] == "TREE\t1\t(r1 (r2 the pilot) (r8 booked (r2 the flight)))"
+
+
+@pytest.mark.parametrize("n", ["-1", "-2", "two"])
+def test_parse_tree_count_not_a_whole_number_is_a_usage_error(capsys, n):
+    with pytest.raises(SystemExit) as exc:
+        main(["parse", AMBIG, "--utt", "the man saw the dog with the dog", "--trees", n])
+    assert exc.value.code == 2
+    assert "argument --trees: expected a whole number 0 or more" in capsys.readouterr().err
+
+
+def test_parse_tree_count_lists_every_tree_up_to_it(capsys):
+    code, out, _err = run(capsys, "parse", AMBIG, "--utt",
+                          "the man saw the dog with the dog", "--trees", "3")
+    assert code == 0
+    assert [line.split("\t")[1] for line in out if line.startswith("TREE")] == ["1", "2"]
 
 
 def test_parse_readings_at_semantic_depth(capsys):
@@ -166,6 +182,12 @@ def test_cover_rows(capsys):
     assert bracketing == "[list flights] [of fare code of q]"
 
 
+def test_cover_of_an_empty_utterance_scores_positive_zero(capsys):
+    code, out, _err = run(capsys, "cover", FRAGMENTS, "--utt", "")
+    assert code == 0
+    assert out == ["\t0\t0\t0.0000\t"]
+
+
 def test_cover_well_formed_filter(capsys):
     code, out, _err = run(
         capsys, "cover", FRAGMENTS, "--utt", "of q", "--well-formed",
@@ -244,6 +266,14 @@ def test_rescore_golden_rows(capsys):
         "utt2\t1\t-10.5000\t-10.0000\t-0.5000\t1\t1\tlist flights",
         "utt2\t2\t-13.0000\t-12.0000\t-1.0000\t1\t0\tof q",
     ]
+
+
+def test_rescore_row_of_an_empty_hypothesis_scores_positive_zero(capsys, tmp_path):
+    nbest = tmp_path / "nbest.tsv"
+    nbest.write_text("u1\t1\t-3\t\n")
+    code, out, _err = run(capsys, "rescore", FRAGMENTS, "--nbest", str(nbest))
+    assert code == 0
+    assert out == ["u1\t1\t-3.0000\t-3.0000\t0.0000\t0\t0\t"]
 
 
 @pytest.mark.parametrize("text", [

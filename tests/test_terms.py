@@ -14,6 +14,7 @@ from gapchart.terms import (
     canonical,
     canonical_seq,
     leaves,
+    occurs,
     refresh,
     resolve,
     seq_subsumes,
@@ -172,6 +173,54 @@ def test_unify_succeeds_on_constructed_common_instance():
         # the unified terms must still match the common instance they came from
         assert robinson_unify(resolve(a, binds), ground) is not None
         assert robinson_unify(resolve(b, binds), ground) is not None
+
+
+def test_ground_flag_is_true_exactly_without_variables():
+    rng = random.Random(10)
+    seen = set()
+    for _ in range(400):
+        pool: list[Var] = []
+        t = random_term(rng, 3, pool)
+        assert t.ground == (not _vars(t)), t
+        seen.add(t.ground)
+        # terms built by the kernel (through `map`) carry the flag too
+        other = random_term(rng, 3, pool)
+        binds = unify_values(t, other, EMPTY_BINDS)
+        if binds is not None:
+            r = resolve(t, binds)
+            assert r.ground == (not _vars(r)), r
+    assert seen == {True, False}
+    # only atoms and ground feature terms count: other nodes are never ground
+    assert not FeatureTerm("s", (("sem", LFApp("f", ("x",))),)).ground
+    assert not FeatureTerm("s", (("sem", Placeholder(1)),)).ground
+    assert not LFApp("f", ("x",)).ground
+
+
+def test_a_ground_term_is_its_own_copy():
+    rng = random.Random(11)
+    v = Var("V")
+    binds = {v: "x"}
+    grounds = [t for t in (random_term(rng, 3) for _ in range(300)) if t.ground]
+    assert len(grounds) > 20
+    for t in grounds:
+        assert resolve(t, binds) is t
+        assert refresh(t, {}) is t
+        assert occurs(v, t, binds) is False
+
+
+def test_unify_of_equal_ground_terms_returns_the_given_binds():
+    t = FeatureTerm("np", (("agr", "sg"), ("sem", FeatureTerm("c", (("k", "v"),)))))
+    same = FeatureTerm("np", (("sem", FeatureTerm("c", (("k", "v"),))), ("agr", "sg")))
+    assert t.ground and same.ground and t == same and t is not same
+    binds = {Var("X"): "y"}
+    assert unify_values(t, same, binds) is binds
+    # unequal ground terms still unify where features are missing: a
+    # restricted prediction carries fewer features
+    restricted = FeatureTerm("np")
+    assert restricted.ground
+    assert unify_values(restricted, FeatureTerm("np", (("agr", "sg"),)), binds) is binds
+    assert unify_values(FeatureTerm("np", (("agr", "sg"),)), restricted, binds) is binds
+    assert unify_values(t, FeatureTerm("np", (("agr", "pl"),)), binds) is None
 
 
 def test_unify_atom_clash_fails():
