@@ -10,23 +10,19 @@ Sort annotations are attached by wrapping LF nodes in `LFAnn` carrying a
 slot. Slots are ordinary logic variables, and function sorts,
 applications and annotations are term-kernel nodes, so annotating,
 constraining, and deferring sort choices all reuse term unification.
+Atomic sorts (`SAtom`) are term-kernel atoms.
+
+Like a feature term, each node records at construction whether it is
+ground (`ground`: no variable and no placeholder anywhere in it), so a
+daughter's typed, resolved logical form is shared, not copied, by the
+phrases built over it, and rendered once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .terms import Node, leaves
-
-
-@dataclass(frozen=True)
-class SAtom:
-    """An atomic sort."""
-
-    name: str
-
-    def __repr__(self) -> str:
-        return f"[{self.name}]"
+from .terms import Node, SAtom, _ground, _set, leaves  # noqa: F401 (SAtom is a sort)
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -35,6 +31,12 @@ class SFunc(Node):
 
     args: tuple[object, ...]
     res: object
+    ground: bool = field(default=False, compare=False)
+
+    def __init__(self, args: tuple[object, ...], res: object):
+        _set(self, "args", args)
+        _set(self, "res", res)
+        _set(self, "ground", _ground((*args, res)))
 
     def children(self) -> tuple[object, ...]:
         return (*self.args, self.res)
@@ -58,6 +60,12 @@ class LFApp(Node):
 
     functor: object
     args: tuple[object, ...]
+    ground: bool = field(default=False, compare=False)
+
+    def __init__(self, functor: object, args: tuple[object, ...]):
+        _set(self, "functor", functor)
+        _set(self, "args", args)
+        _set(self, "ground", _ground((functor, *args)))
 
     def children(self) -> tuple[object, ...]:
         return (self.functor, *self.args)
@@ -80,6 +88,12 @@ class LFAnn(Node):
 
     expr: object
     slot: object
+    ground: bool = field(default=False, compare=False)
+
+    def __init__(self, expr: object, slot: object):
+        _set(self, "expr", expr)
+        _set(self, "slot", slot)
+        _set(self, "ground", _ground((expr, slot)))
 
     def children(self) -> tuple[object, object]:
         return (self.expr, self.slot)
@@ -110,7 +124,7 @@ def substitute_placeholders(lf: object, fillers: dict[int, object]) -> object:
     """Replace each Dn placeholder with its filler LF."""
     if isinstance(lf, Placeholder):
         return fillers[lf.index]
-    if isinstance(lf, Node):
+    if isinstance(lf, Node) and not lf.ground:
         return lf.map(substitute_placeholders, fillers)
     return lf
 

@@ -146,11 +146,18 @@ def _walk_network(node: object, binds: Binds | None, grammar: Grammar,
 
     Returns the extended bindings, or None if the structure cannot be
     typed; appends a choice over its sorts for every atom occurrence
-    (preorder)."""
+    (preorder) that it walks.
+
+    A ground subtree is not walked: it is a daughter that was typed and
+    resolved when it was built, since `annotate` gives every template
+    and lexical node a fresh slot variable. Its sorts are settled, so
+    it would add no open choice."""
     if binds is None:
         return None
     if not isinstance(node, LFAnn):
         raise TypeError(f"unannotated LF node {node!r}")
+    if node.ground:
+        return binds
     expr = node.expr
     if isinstance(expr, str):
         choices.append(DeferredAssignment(expr, node.slot, grammar.sorts_of(expr)))
@@ -235,7 +242,9 @@ def _finish_sorted(grammar: Grammar, depth: str, lf_ann: object,
     """Shared tail of lexical and phrasal reading construction at the
     sorts depths: type the annotated LF, then take the inherited choices
     and those of the atom occurrences the daughters did not settle, and
-    multiply them out at `sorts` or keep them at `deferred`."""
+    multiply them out at `sorts` or keep them at `deferred`. A daughter
+    whose logical form is ground was typed when it was built, and is
+    not walked again."""
     occurrences: list[DeferredAssignment] = []
     binds = _walk_network(lf_ann, binds, grammar, occurrences)
     if binds is None:

@@ -9,11 +9,14 @@ nested feature terms. All operations are non-destructive; bindings live
 in immutable dicts that are extended, never mutated, so failed branches
 cannot corrupt shared structure.
 
-A feature term with no variable anywhere in it is ground, and knows it
-from construction (`FeatureTerm.ground`). A ground term is its own
-copy: `resolve` and `refresh` return it as it is, `occurs` finds
-nothing in it, and `unify_values` accepts an equal ground pair without
-walking its features. Other nodes are never ground.
+Atoms are plain strings and atomic sorts (`SAtom`), compared by
+equality. A node with no variable and no placeholder anywhere in it is
+ground, and knows it from construction (`ground`): each of its children
+is an atom or a ground node. A ground node is its own copy: `resolve`
+and `refresh` return it as it is, `occurs` finds nothing in it,
+`unify_values` accepts an equal ground pair without walking its
+children, and `canonical` renders it once and keeps the text on the
+node.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
 _var_ids = itertools.count(1)
+
+# nodes are frozen: their fields, and the render kept on a ground node,
+# are set through this
+_set = object.__setattr__
 
 
 class Var:
@@ -44,17 +51,32 @@ Binds = Mapping[Var, object]
 EMPTY_BINDS: Binds = {}
 
 
+@dataclass(frozen=True)
+class SAtom:
+    """An atomic sort."""
+
+    name: str
+
+    def __repr__(self) -> str:
+        return f"[{self.name}]"
+
+
 class Node:
     """A compound value. Each kind of node supplies four hooks, and the
     kernel below (`occurs`, `unify_values`, `resolve`, `refresh`,
     `canonical`, `leaves`) is written once over them, so feature terms,
     sorts and logical forms share one unification. `map` and `show` take
     the recursion as an argument, so resolving, copying and printing
-    build no intermediate list of children."""
+    build no intermediate list of children.
 
-    __slots__ = ()
+    Each kind sets `ground` at construction, by `_ground` over its
+    children."""
 
-    # True only for a node known to hold no variable
+    # `_text`: the canonical render of a ground node, set by its first
+    # render; not part of equality or hashing
+    __slots__ = ("_text",)
+
+    # True only for a node known to hold no variable and no placeholder
     ground = False
 
     def children(self) -> Iterable[object]:
@@ -96,9 +118,9 @@ class FeatureTerm(Node):
 
     def __init__(self, backbone: str, feats: Iterable[tuple[str, object]] = ()):
         feats = tuple(sorted(feats, key=_by_name))
-        object.__setattr__(self, "backbone", backbone)
-        object.__setattr__(self, "feats", feats)
-        object.__setattr__(self, "ground", _ground(feats))
+        _set(self, "backbone", backbone)
+        _set(self, "feats", feats)
+        _set(self, "ground", _ground_feats(feats))
 
     def get(self, name: str) -> object | None:
         for fname, fval in self.feats:
@@ -116,9 +138,9 @@ class FeatureTerm(Node):
     def _of_sorted(cls, backbone: str, feats: tuple[tuple[str, object], ...]) -> "FeatureTerm":
         # the features are already in name order, so `__init__`'s sort is skipped
         term = object.__new__(cls)
-        object.__setattr__(term, "backbone", backbone)
-        object.__setattr__(term, "feats", feats)
-        object.__setattr__(term, "ground", _ground(feats))
+        _set(term, "backbone", backbone)
+        _set(term, "feats", feats)
+        _set(term, "ground", _ground_feats(feats))
         return term
 
     def map(self, fn, arg) -> "FeatureTerm":
@@ -137,10 +159,21 @@ class FeatureTerm(Node):
         return f"{self.backbone}({inner})"
 
 
-def _ground(feats: tuple[tuple[str, object], ...]) -> bool:
-    # only plain atoms and ground terms count: anything unusual stays general
+def _ground(values: Iterable[object]) -> bool:
+    """True if every value is an atom or a ground node. Variables,
+    placeholders and anything unusual are not ground."""
+    for v in values:
+        if type(v) is not str and type(v) is not SAtom and not (
+                isinstance(v, Node) and v.ground):
+            return False
+    return True
+
+
+def _ground_feats(feats: tuple[tuple[str, object], ...]) -> bool:
+    # `_ground` over the values of (name, value) pairs, without a copy
     for _, v in feats:
-        if type(v) is not str and not (isinstance(v, FeatureTerm) and v.ground):
+        if type(v) is not str and type(v) is not SAtom and not (
+                isinstance(v, Node) and v.ground):
             return False
     return True
 
@@ -329,7 +362,15 @@ def _canon(value: object, names: dict[Var, str]) -> str:
     if isinstance(value, str):
         return value
     if isinstance(value, Node):
-        return value.show(_canon, names)
+        if not value.ground:
+            return value.show(_canon, names)
+        # a ground node names no variable, so its text is the same
+        # under every numbering
+        text = getattr(value, "_text", None)
+        if text is None:
+            text = value.show(_canon, names)
+            _set(value, "_text", text)
+        return text
     return repr(value)
 
 

@@ -10,7 +10,10 @@ possible-left-corner-of.
 On generated sort grammars, `deferred` gives exactly the readings of
 `sorts`, and the readings of `sem` are exactly the logical forms that
 `tests/oracles.py` reads off the unpacked trees one by one, under every
-strategy. Their atoms have one to three sorts, some of them curried
+strategy. Every ground logical form a reading holds types again from
+scratch, which is what lets the sortal check skip it, and the fragment
+cover of every generated input costs what the exhaustive tiling oracle
+finds. Their atoms have one to three sorts, some of them curried
 function sorts, and their unary and binary rules have one or two `sem`
 templates, which apply a daughter to the other, apply a template atom
 to a daughter, or drop a daughter.
@@ -20,8 +23,8 @@ To sweep a wider range of seeds, run
     PYTHONPATH=src python tests/test_generated.py FIRST STOP
 
 which prints each disagreeing seed, strategy (and depth) and input for
-the seeds FIRST to STOP - 1, over all three checks, and exits 1 if
-there is any.
+the seeds FIRST to STOP - 1, over the tree, reading and cover checks,
+and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -32,11 +35,14 @@ from typing import Iterator
 
 import pytest
 
-from gapchart.engine import parse
+from gapchart.engine import parse, tokenize
 from gapchart.grammar import Grammar, parse_grammar
+from gapchart.lf import LFAnn, LFApp
+from gapchart.scoring import ScoreWeights, min_fragment_cover
+from gapchart.semantics import _walk_network, unify_sorts
 from gapchart.tables import compile_tables
-from gapchart.terms import canonical
-from oracles import exhaustive_parse, tree_lfs
+from gapchart.terms import Node, Var, canonical, resolve
+from oracles import exhaustive_min_cover_cost, exhaustive_parse, tree_lfs
 
 # Phrase backbones, highest first. A rule's daughters come from lower
 # phrases, the preterminals and the empty category `e`; the one way back
@@ -219,6 +225,22 @@ def sem_disagreements(seed: int) -> Iterator[tuple[str, list[str]]]:
                 yield strategy, words
 
 
+def cover_disagreements(seed: int) -> Iterator[tuple[str, list[str]]]:
+    """(depth, words) for every generated input of the seed whose
+    fragment cover, under `llc` with robust parsing, costs more or less
+    than the cheapest tiling the exhaustive oracle finds: at `syn` on a
+    generated grammar and at `deferred` on a generated sort grammar."""
+    weights = ScoreWeights()
+    for depth, make in (("syn", random_grammar), ("deferred", random_sort_grammar)):
+        rng = random.Random(seed)
+        grammar = make(rng)
+        for words in [random_words(rng, grammar) for _ in range(6)]:
+            result = parse(grammar, words, depth=depth, robust=True)
+            cover = min_fragment_cover(result, weights)
+            if sum(arc.cost for arc in cover.arcs) != exhaustive_min_cover_cost(result, weights):
+                yield depth, words
+
+
 # Every seed of 0-199 and 1000-1299 that disagreed with the oracle while
 # the chart still packed derivations into more general edges and replaced
 # more specific ones.
@@ -291,6 +313,80 @@ def test_generated_sort_grammar_sem_readings_match_tree_logical_forms(seed):
     assert list(sem_disagreements(seed)) == []
 
 
+@pytest.mark.parametrize("seed", SORT_SEEDS)
+def test_generated_grammar_covers_cost_what_the_exhaustive_tiling_costs(seed):
+    assert list(cover_disagreements(seed)) == []
+
+
+def _ground_annotations(value: object) -> Iterator[LFAnn]:
+    if isinstance(value, LFAnn) and value.ground:
+        yield value
+    if isinstance(value, Node):
+        for child in value.children():
+            yield from _ground_annotations(child)
+
+
+def _fresh_slots(node: object, slots: list[tuple[Var, object]]) -> object:
+    # the annotated LF with a fresh variable in each annotation slot,
+    # paired in `slots` with the sort the slot held
+    if isinstance(node, LFAnn):
+        var = Var("S")
+        slots.append((var, node.slot))
+        return LFAnn(_fresh_slots(node.expr, slots), var)
+    if isinstance(node, LFApp):
+        return node.map(_fresh_slots, slots)
+    return node
+
+
+def retype_ground_subtrees(grammar: Grammar, utterances: list[list[str]]) -> int:
+    """Type every ground annotated subtree of every chart reading at
+    `sorts` and `deferred` from scratch, with its slots made variables
+    again, and check that the sorts it holds solve that network and
+    settle every atom's choice. Returns the number of applications so
+    checked."""
+    applications = 0
+    tables = compile_tables(grammar, "llc")
+    for words in utterances:
+        for depth in ("sorts", "deferred"):
+            result = parse(grammar, words, depth=depth, tables=tables, robust=True)
+            for edge in result.chart.edges:
+                for node in _ground_annotations(edge.reading.lf):
+                    slots: list[tuple[Var, object]] = []
+                    choices: list = []
+                    binds = _walk_network(_fresh_slots(node, slots), {}, grammar, choices)
+                    assert binds is not None, node
+                    for var, sort in slots:
+                        binds = unify_sorts(var, sort, binds)
+                        assert binds is not None, node
+                    for choice in choices:
+                        assert resolve(choice.slot, binds) in choice.candidates, node
+                    applications += isinstance(node.expr, LFApp)
+    return applications
+
+
+@pytest.mark.parametrize("seed", SORT_SEEDS)
+def test_ground_logical_forms_of_generated_grammars_type_from_scratch(seed):
+    rng = random.Random(seed)
+    grammar = random_sort_grammar(rng)
+    retype_ground_subtrees(grammar, [random_words(rng, grammar) for _ in range(6)])
+
+
+def test_ground_logical_forms_of_the_sorts_corpus_type_from_scratch(sorts_grammar,
+                                                                   sorts_corpus):
+    assert retype_ground_subtrees(sorts_grammar, [tokenize(u) for u in sorts_corpus]) >= 10
+
+
+def test_generated_grammars_have_ground_applications_to_retype():
+    # the generated check above means something only if some ground
+    # subtrees hold applications
+    total = 0
+    for seed in SORT_SEEDS:
+        rng = random.Random(seed)
+        grammar = random_sort_grammar(rng)
+        total += retype_ground_subtrees(grammar, [random_words(rng, grammar) for _ in range(6)])
+    assert total >= 50
+
+
 def test_generated_sort_grammars_have_ambiguous_and_deferred_readings():
     # the differentials above mean something only if some inputs have
     # several readings and some complete edges keep a choice open
@@ -310,7 +406,8 @@ if __name__ == "__main__":
     first, stop = map(int, sys.argv[1:])
     found = False
     for seed in range(first, stop):
-        for check in (disagreements, sort_disagreements, sem_disagreements):
+        for check in (disagreements, sort_disagreements, sem_disagreements,
+                      cover_disagreements):
             for variant, words in check(seed):
                 print(seed, variant, words)
                 found = True

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import random
 
-from gapchart.lf import LFAnn, LFApp, Placeholder, SAtom, SFunc
+from gapchart.lf import LFAnn, LFApp, Placeholder, SAtom, SFunc, substitute_placeholders
 from gapchart.semantics import unify_sorts
 from gapchart.terms import (
     EMPTY_BINDS,
     FeatureTerm,
+    Node,
     Restrictor,
     Var,
     canonical,
@@ -175,6 +176,46 @@ def test_unify_succeeds_on_constructed_common_instance():
         assert robinson_unify(resolve(b, binds), ground) is not None
 
 
+def random_lf(rng: random.Random, depth: int, pool: list[Var]) -> object:
+    """A logical form, sort or feature term over strings, atomic sorts,
+    variables and placeholders, with every kind of node nested in every
+    other."""
+    roll = rng.random()
+    if roll < 0.3 or depth <= 0:
+        leaf = rng.random()
+        if leaf < 0.4:
+            return rng.choice(ATOMS)
+        if leaf < 0.7:
+            return rng.choice(SORT_ATOMS)
+        if leaf < 0.8:
+            return Placeholder(rng.randint(1, 2))
+        if pool and rng.random() < 0.5:
+            return rng.choice(pool)
+        var = Var("V")
+        pool.append(var)
+        return var
+    kids = [random_lf(rng, depth - 1, pool) for _ in range(rng.randint(1, 3))]
+    if roll < 0.5:
+        return LFApp(kids[0], tuple(kids[1:]))
+    if roll < 0.7:
+        return LFAnn(kids[0], random_lf(rng, depth - 1, pool))
+    if roll < 0.85:
+        return SFunc(tuple(kids[:-1]), kids[-1])
+    return FeatureTerm(rng.choice(BACKBONES), tuple(zip(FEATURES, kids)))
+
+
+def _open(value: object) -> bool:
+    # holds a variable or a placeholder
+    return any(isinstance(x, (Var, Placeholder)) for x in leaves(value))
+
+
+def _nodes(value: object):
+    if isinstance(value, Node):
+        yield value
+        for child in value.children():
+            yield from _nodes(child)
+
+
 def test_ground_flag_is_true_exactly_without_variables():
     rng = random.Random(10)
     seen = set()
@@ -190,10 +231,64 @@ def test_ground_flag_is_true_exactly_without_variables():
             r = resolve(t, binds)
             assert r.ground == (not _vars(r)), r
     assert seen == {True, False}
-    # only atoms and ground feature terms count: other nodes are never ground
-    assert not FeatureTerm("s", (("sem", LFApp("f", ("x",))),)).ground
+    # a placeholder stands for a daughter still to come
     assert not FeatureTerm("s", (("sem", Placeholder(1)),)).ground
-    assert not LFApp("f", ("x",)).ground
+
+
+def test_ground_flag_of_logical_forms_and_sorts():
+    # every node kind follows one rule: ground exactly when it holds no
+    # variable and no placeholder, whether built directly or by the kernel
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(500):
+        pool: list[Var] = []
+        t = random_lf(rng, 4, pool)
+        other = random_lf(rng, 4, pool)
+        fillers = {1: random_lf(rng, 2, []), 2: random_lf(rng, 2, [])}
+        binds = unify_values(t, other, EMPTY_BINDS)
+        built = [t, refresh(t, {}), substitute_placeholders(t, fillers)]
+        if binds is not None:
+            built.append(resolve(t, binds))
+        for value in built:
+            for node in _nodes(value):
+                assert node.ground == (not _open(node)), node
+                seen.add((type(node), node.ground))
+        for node in _nodes(t):
+            if node.ground:
+                assert resolve(node, {v: "x" for v in pool}) is node
+                assert refresh(node, {}) is node
+                assert substitute_placeholders(node, fillers) is node
+                assert FeatureTerm("s", (("sem", node),)).ground
+    assert seen == {(kind, flag) for kind in (LFApp, LFAnn, SFunc, FeatureTerm)
+                    for flag in (True, False)}
+
+
+def test_a_ground_node_renders_once():
+    # the text kept on a ground node is its render under any numbering,
+    # and it leaves equality and hashing alone
+    rng = random.Random(13)
+    rendered = 0
+    for _ in range(300):
+        t = random_lf(rng, 4, [])
+        copy = _rebuild(t)
+        assert copy == t and hash(copy) == hash(t)
+        assert canonical(t) == canonical(copy)
+        # rendered again under another numbering, after the first render
+        context = LFApp(Var("X"), (t, Var("Y"), t))
+        assert canonical(context) == canonical(_rebuild(context))
+        assert t == copy and hash(t) == hash(copy)
+        for node in _nodes(t):
+            if node.ground:
+                assert node._text == canonical(_rebuild(node))
+                rendered += 1
+    assert rendered > 100
+
+
+def _rebuild(value: object) -> object:
+    # an equal copy with new nodes, none of them rendered yet
+    if isinstance(value, Node):
+        return value.map(lambda child, _arg: _rebuild(child), None)
+    return value
 
 
 def test_a_ground_term_is_its_own_copy():
