@@ -19,6 +19,10 @@ unproductive cycles; tree counting and dispreference are both folds.
 Predictions are sequences of restricted categories anticipated at a
 string position. Adding one applies the restrictor, the one-word
 lookahead filter, and a subsumption check against existing sequences.
+
+Edges and predictions are kept per string position (an edge at its
+end position), so a new chart can take over the leading positions of a
+finished one by sharing them.
 """
 
 from __future__ import annotations
@@ -148,23 +152,38 @@ class Chart:
     """Edges, predictions, and the bookkeeping the engine drives."""
 
     def __init__(self, words: list[str], tables: CompiledTables,
-                 restrictor: Restrictor, lookahead: bool = True):
+                 restrictor: Restrictor, lookahead: bool = True,
+                 base: Chart | None = None, resume_at: int = 0):
+        """An empty chart for `words`, or one that takes the positions
+        before `resume_at` from the finished chart `base`: their edges
+        and predictions are shared, not copied. The engine grows a chart
+        strictly left to right, so the positions a chart takes over are
+        never changed again, in it or in `base`."""
         n_words = len(words)
         self.n_words = n_words
         self.words = words
         self.tables = tables
         self.lookahead = lookahead
         self.restrictor = restrictor
-        self.edges: list[Edge] = []
         self.predictions: dict[int, list[tuple[FeatureTerm, ...]]] = {
             i: [] for i in range(n_words + 1)
         }
         self._first_backbones: dict[int, set[str]] = {i: set() for i in range(n_words + 1)}
         self._by_end: dict[int, list[Edge]] = {i: [] for i in range(n_words + 1)}
+        # edges only ever go in at the growing end of a chart, so a
+        # chart's groups need not hold the edges it takes over
         self._by_group: dict[tuple, list[Edge]] = {}
         self.edges_created = 0
         self.preds_created = 0
-        self._next_id = 1
+        for i in range(resume_at):
+            self.predictions[i] = base.predictions[i]
+            self._first_backbones[i] = base._first_backbones[i]
+            self._by_end[i] = base._by_end[i]
+            self.edges_created += len(self._by_end[i])
+            self.preds_created += len(self.predictions[i])
+        # ids are consecutive in order of end position
+        self.edges: list[Edge] = [] if base is None else base.edges[:self.edges_created]
+        self._next_id = self.edges_created + 1
 
     # -- edges ---------------------------------------------------------
 

@@ -7,6 +7,19 @@ its predictions and then searches for reductions it completes, with new
 edges processed depth-first as they are found. Empty categories are
 added to a fixpoint at every string position.
 
+The chart grows strictly left to right. Scanning word p-1 and closing
+position p under the empty rules builds every edge that ends at p,
+every derivation of such an edge and every prediction made at p;
+nothing later changes them, and edges are numbered in order of end
+position. What position p holds follows from the words before it and,
+when the tables predict and the lookahead filter is on, from word p
+itself, which that filter checks the predictions made at p against. So
+a parse can resume from an earlier result: its chart takes over the
+earlier chart's leading positions that the two inputs determine alike,
+sharing their edges and predictions without copying or changing them,
+and builds the rest as a fresh parse would. A fresh parse is one that
+takes over no position.
+
 A reduced phrase is licensed when its category is context-independent,
 or when it can begin a phrase anticipated at its start position (every
 category can begin itself, so directly predicted phrases are covered).
@@ -108,6 +121,21 @@ class ParseResult:
             predictions=self.chart.preds_created,
             complete=len(self.complete_edges()),
         )
+
+    def shared_positions(self, words: list[str]) -> int:
+        """How many leading string positions a parse of `words` with
+        this result's tables, depth and lookahead holds exactly as this
+        chart does: one more than the shared word prefix, or that
+        prefix alone when the tables predict and the lookahead filter
+        checks the predictions made at a position against its word."""
+        common = 0
+        for ours, theirs in zip(self.words, words):
+            if ours != theirs:
+                break
+            common += 1
+        if self.tables.cd and self.chart.lookahead:
+            return common
+        return common + 1
 
     def complete_edges(self) -> list[Edge]:
         """Edges spanning the whole input whose category fits the start
@@ -234,31 +262,42 @@ class _Parser:
         if self.trace is not None:
             self.trace("\t".join(map(str, fields)))
 
-    def run(self, words: list[str]) -> ParseResult:
-        chart = Chart(words, self.tables, self.grammar.restrictor, self.lookahead)
+    def run(self, words: list[str], base: Chart | None = None,
+            resume_at: int = 0) -> ParseResult:
+        """Parse `words`, taking the positions before `resume_at` from
+        the finished chart `base`."""
+        if not self.robust:
+            # `base` may be a robust parse that skipped a word
+            for i in range(resume_at - 1):
+                if not self.grammar.lexicon.get(words[i]):
+                    raise UnknownWordError(words[i], i + 1)
+        chart = Chart(words, self.tables, self.grammar.restrictor, self.lookahead,
+                      base, resume_at)
         self.chart = chart
         start = self.grammar.start
-        if start.backbone in self.tables.cd:
-            self._predict(0, (refresh(start, {}),))
-        self._empty_fixpoint(0)
-        for i, word in enumerate(words):
-            entries = self.grammar.lexicon.get(word, ())
-            if not entries:
-                if not self.robust:
-                    raise UnknownWordError(word, i + 1)
-                self._say("SKIP", i, word)
-            for index, entry in enumerate(entries):
-                cat = refresh(entry.cat, {})
-                readings = self._recall((word, index, self.depth),
-                                        lexical_instance, entry)
-                if readings == []:
-                    self._say("REJECT", "veto", f"lex:{word}", i, i + 1)
-                    continue
-                for edge in self._add(i, i + 1, cat, Derivation("lex", word=word),
-                                      readings):
-                    self._process(edge)
-            self._empty_fixpoint(i + 1)
+        for pos in range(resume_at, len(words) + 1):
+            if pos:
+                self._scan(pos - 1, words[pos - 1])
+            elif start.backbone in self.tables.cd:
+                self._predict(0, (refresh(start, {}),))
+            self._empty_fixpoint(pos)
         return ParseResult(words, self.grammar, self.tables, chart, self.depth)
+
+    def _scan(self, i: int, word: str) -> None:
+        """Add the lexical edges of word i and process each."""
+        entries = self.grammar.lexicon.get(word, ())
+        if not entries:
+            if not self.robust:
+                raise UnknownWordError(word, i + 1)
+            self._say("SKIP", i, word)
+        for index, entry in enumerate(entries):
+            cat = refresh(entry.cat, {})
+            readings = self._recall((word, index, self.depth), lexical_instance, entry)
+            if readings == []:
+                self._say("REJECT", "veto", f"lex:{word}", i, i + 1)
+                continue
+            for edge in self._add(i, i + 1, cat, Derivation("lex", word=word), readings):
+                self._process(edge)
 
     # -- memoised semantics ----------------------------------------------
 
@@ -456,8 +495,17 @@ def tokenize(utterance: str) -> list[str]:
 def parse(grammar: Grammar, words: list[str], *, strategy: str = "llc",
           depth: str = SYN, lookahead: bool = True, robust: bool = False,
           trace: TraceFn | None = None,
-          tables: CompiledTables | None = None) -> ParseResult:
+          tables: CompiledTables | None = None,
+          resume_from: ParseResult | None = None) -> ParseResult:
     """Parse one utterance and return the finished chart.
+
+    With `resume_from`, an earlier result made with the same grammar,
+    tables, depth and lookahead, the parse resumes from that result's
+    chart: the new chart shares its leading positions that the two
+    inputs determine alike (`ParseResult.shared_positions`) and builds
+    only the rest. The result is the fresh parse's, edge for edge, and
+    the earlier result is not changed. A traced parse does not resume,
+    since its trace shows every event of the parse.
 
     Without `tables`, the grammar's own tables for the strategy are
     used, compiled on its first such parse and kept in
@@ -483,5 +531,19 @@ def parse(grammar: Grammar, words: list[str], *, strategy: str = "llc",
         raise ConfigError(
             "the grammar declares no sorts; sortal parsing depths need a sort table"
         )
+    words = list(words)
+    base, resume_at = None, 0
+    if resume_from is not None:
+        if trace is not None:
+            raise ConfigError("a traced parse does not resume: its trace shows every event")
+        if resume_from.grammar is not grammar or resume_from.tables is not tables:
+            raise ConfigError("resume_from was parsed with another grammar or other tables")
+        if resume_from.depth != depth:
+            raise ConfigError(f"resume_from was parsed at depth {resume_from.depth!r}, "
+                              f"not {depth!r}")
+        if resume_from.chart.lookahead != lookahead:
+            raise ConfigError(f"resume_from was parsed with lookahead "
+                              f"{resume_from.chart.lookahead}, not {lookahead}")
+        base, resume_at = resume_from.chart, resume_from.shared_positions(words)
     parser = _Parser(grammar, tables, depth, lookahead, robust, trace)
-    return parser.run(list(words))
+    return parser.run(words, base, resume_at)

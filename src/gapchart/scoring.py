@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .chart import ForestFold
+from .chart import Edge, ForestFold
 from .engine import ParseResult, parse
 from .grammar import Grammar
 
@@ -114,42 +114,36 @@ def min_fragment_cover(result: ParseResult,
         weights = ScoreWeights()
     n = len(result.words)
     start_backbone = result.grammar.start.backbone
-    arcs_at: dict[int, list[Arc]] = {i: [] for i in range(n + 1)}
+    starting: list[list[Edge]] = [[] for _ in range(n)]
     for edge in result.chart.edges:
         if edge.start < edge.end:
-            arcs_at[edge.start].append(
-                Arc(edge.start, edge.end, edge, weights.fragment_cost)
-            )
-    for i in range(n):
-        arcs_at[i].append(Arc(i, i + 1, None, weights.fallback_cost))
+            starting[edge.start].append(edge)
 
     suffix = [math.inf] * (n + 1)
     suffix[n] = 0.0
     for i in range(n - 1, -1, -1):
-        for arc in arcs_at[i]:
-            total = arc.cost + suffix[arc.end]
-            if total < suffix[i]:
-                suffix[i] = total
+        best = weights.fallback_cost + suffix[i + 1]
+        for edge in starting[i]:
+            total = weights.fragment_cost + suffix[edge.end]
+            if total < best:
+                best = total
+        suffix[i] = best
 
     chosen: list[Arc] = []
     i = 0
     while i < n:
-        candidates = [
-            arc for arc in arcs_at[i]
-            if abs(arc.cost + suffix[arc.end] - suffix[i]) < _EPS
-        ]
-        candidates.sort(
-            key=lambda arc: (
-                -(arc.end - arc.start),
-                0 if arc.edge is not None and arc.edge.backbone == start_backbone
-                else 1,
-                0 if arc.edge is not None else 1,
-                arc.edge.id if arc.edge is not None else 0,
-            )
+        # a phrase spans a word at least, so it wins a tie with the fallback
+        edge = min(
+            (e for e in starting[i]
+             if abs(weights.fragment_cost + suffix[e.end] - suffix[i]) < _EPS),
+            key=lambda e: (e.start - e.end, e.backbone != start_backbone, e.id),
+            default=None,
         )
-        best = candidates[0]
-        chosen.append(best)
-        i = best.end
+        if edge is None:
+            chosen.append(Arc(i, i + 1, None, weights.fallback_cost))
+        else:
+            chosen.append(Arc(i, edge.end, edge, weights.fragment_cost))
+        i = chosen[-1].end
 
     single = (
         len(chosen) == 1
@@ -250,17 +244,24 @@ def rescore(grammar: Grammar, groups: dict[str, list[Hypothesis]],
     utterance's list by rec + scale * score (stable on ties).
 
     The parses use the grammar's own tables, so every call on one
-    grammar shares their semantic memo."""
+    grammar shares their semantic memo. Each hypothesis resumes from the
+    parse of the earlier hypothesis of its list that shares the longest
+    word prefix with it (the first such one), so a prefix the list has
+    already parsed is not parsed again; see `engine.parse`."""
     if weights is None:
         weights = ScoreWeights()
     out: list[RescoredHypothesis] = []
     for utt in groups:
         scored: list[tuple[float, Hypothesis, FragmentCover, float]] = []
+        results: list[ParseResult] = []
         for hyp in groups[utt]:
+            words = list(hyp.words)
+            base = max(results, key=lambda r: r.shared_positions(words), default=None)
             result = parse(
-                grammar, list(hyp.words), strategy=strategy, depth=depth,
-                lookahead=lookahead, robust=True,
+                grammar, words, strategy=strategy, depth=depth,
+                lookahead=lookahead, robust=True, resume_from=base,
             )
+            results.append(result)
             cover = min_fragment_cover(result, weights)
             nl = nl_score(cover, weights)
             combined = hyp.rec + weights.scale * nl

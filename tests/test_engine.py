@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import pytest
 
+from gapchart.data import read_text
 from gapchart.engine import ConfigError, UnknownWordError, parse, tokenize
 from gapchart.grammar import parse_grammar
+from gapchart.tables import compile_tables
 from gapchart.terms import Var, canonical, canonical_seq, leaves
 
 
@@ -160,6 +162,54 @@ def test_unknown_word_robust_mode_skips(toy_grammar):
     assert (3, 5) in spans  # "the flight" still parsed as an np
 
 
+def test_a_resumed_parse_builds_the_chart_of_a_fresh_parse(toy_grammar, toy_corpus):
+    shared = 0
+    for strategy, lookahead in (("llc", True), ("lc", True), ("lc", False)):
+        config = dict(strategy=strategy, lookahead=lookahead, robust=True)
+        earlier = []
+        for utt in toy_corpus:
+            words = tokenize(utt)
+            fresh = parse(toy_grammar, words, **config)
+            for base in earlier:
+                resumed = parse(toy_grammar, words, resume_from=base, **config)
+                assert resumed.chart.dump() == fresh.chart.dump(), (strategy, utt)
+                assert resumed.trees() == fresh.trees()
+                shared = max(shared, base.shared_positions(words))
+            earlier.append(fresh)
+    assert shared >= 3
+
+
+def test_a_resumed_parse_refuses_a_result_of_another_configuration(toy_grammar):
+    words = tokenize("the pilot booked the flight")
+    base = parse(toy_grammar, words, depth="sem")
+    for change in (dict(strategy="bu"), dict(tables=compile_tables(toy_grammar, "llc")),
+                   dict(depth="syn"), dict(lookahead=False)):
+        with pytest.raises(ConfigError):
+            parse(toy_grammar, words, resume_from=base, **{"depth": "sem", **change})
+    other = parse_grammar(read_text("toy.gram"))
+    with pytest.raises(ConfigError):
+        parse(other, words, depth="sem", resume_from=base)
+
+
+def test_a_traced_parse_does_not_resume(toy_grammar):
+    base = parse(toy_grammar, tokenize("the pilot booked the flight"))
+    with pytest.raises(ConfigError):
+        parse(toy_grammar, tokenize("the pilot booked a flight"), trace=[].append,
+              resume_from=base)
+
+
+def test_a_strict_resumed_parse_stops_at_an_unknown_word_of_the_shared_prefix(toy_grammar):
+    base = parse(toy_grammar, tokenize("the zeppelin booked the flight"), robust=True)
+    words = tokenize("the zeppelin booked a flight")
+    assert base.shared_positions(words) == 3  # positions 0 to 2: "the zeppelin"
+    with pytest.raises(UnknownWordError) as fresh:
+        parse(toy_grammar, words)
+    with pytest.raises(UnknownWordError) as resumed:
+        parse(toy_grammar, words, resume_from=base)
+    assert ((resumed.value.word, resumed.value.position)
+            == (fresh.value.word, fresh.value.position) == ("zeppelin", 2))
+
+
 def test_bad_depth_rejected(toy_grammar):
     with pytest.raises(ConfigError):
         parse(toy_grammar, ["the"], depth="semantic")
@@ -288,8 +338,6 @@ def test_complete_edges_span_whole_input_and_match_start(toy_grammar):
 
 
 def test_parse_accepts_precompiled_tables(toy_grammar):
-    from gapchart.tables import compile_tables
-
     tables = compile_tables(toy_grammar, "llc")
     r1 = parse(toy_grammar, tokenize("the pilots land"), tables=tables)
     r2 = parse(toy_grammar, tokenize("the pilots land"))

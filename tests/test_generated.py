@@ -18,13 +18,18 @@ function sorts, and their unary and binary rules have one or two `sem`
 templates, which apply a daughter to the other, apply a template atom
 to a daughter, or drop a daughter.
 
+A parse resumed from the chart of an input one word apart, at any
+position the resumption rule allows, gives the fresh parse's chart,
+trees and readings and leaves the earlier result unchanged; resuming
+one position past the lookahead rule does not.
+
 To sweep a wider range of seeds, run
 
     PYTHONPATH=src python tests/test_generated.py FIRST STOP
 
 which prints each disagreeing seed, strategy (and depth) and input for
-the seeds FIRST to STOP - 1, over the tree, reading and cover checks,
-and exits 1 if there is any.
+the seeds FIRST to STOP - 1, over the tree, reading, cover and resume
+checks, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from typing import Iterator
 
 import pytest
 
-from gapchart.engine import parse, tokenize
+from gapchart.engine import _Parser, parse, tokenize
 from gapchart.grammar import Grammar, parse_grammar
 from gapchart.lf import LFAnn, LFApp
 from gapchart.scoring import ScoreWeights, min_fragment_cover
@@ -241,6 +246,65 @@ def cover_disagreements(seed: int) -> Iterator[tuple[str, list[str]]]:
                 yield depth, words
 
 
+def _resume_pairs(rng: random.Random, grammar: Grammar) -> list[tuple[list[str], list[str]]]:
+    """Pairs of inputs, each way round, that differ in one word: one
+    substituted (by another word or the unknown `w`) or one appended."""
+    pairs = []
+    for _ in range(2):
+        before = random_words(rng, grammar)
+        after = list(before)
+        if before and rng.random() < 0.5:
+            i = rng.randrange(len(after))
+            after[i] = rng.choice([w for w in (*WORDS, "w") if w != after[i]])
+        else:
+            after.append(rng.choice(WORDS))
+        pairs += [(before, after), (after, before)]
+    return pairs
+
+
+def _resume_snapshot(result) -> tuple:
+    return (result.chart.dump(), result.stats, result.trees(),
+            [r.render for r in result.complete_readings()],
+            [(e.id, [d.key for d in e.derivations]) for e in result.chart.edges])
+
+
+def resume_disagreements(seed: int, overreach: bool = False) -> Iterator[tuple[str, list[str]]]:
+    """(configuration, words) for every robust parse of a generated input
+    that, resumed from the chart of an input one word apart at some
+    position the resumption rule allows, differs from the fresh parse,
+    or changes the earlier result: at `syn` on a generated grammar and
+    at `sem`, `sorts` and `deferred` on a generated sort grammar, under
+    every strategy, with and without lookahead. With `overreach`, only
+    the parses that predict with lookahead are resumed, one position
+    past the rule: these should disagree on some seeds."""
+    for depths, make in ((("syn",), random_grammar),
+                         (("sem", "sorts", "deferred"), random_sort_grammar)):
+        rng = random.Random(seed)
+        grammar = make(rng)
+        pairs = _resume_pairs(rng, grammar)
+        for strategy in ("bu", "llc", "lc"):
+            tables = compile_tables(grammar, strategy)
+            for depth in depths:
+                for lookahead in (True, False):
+                    if overreach and not (lookahead and tables.cd):
+                        continue
+                    config = dict(depth=depth, lookahead=lookahead, robust=True, tables=tables)
+                    for before, words in pairs:
+                        base = parse(grammar, before, **config)
+                        held = _resume_snapshot(base)
+                        fresh = _resume_snapshot(parse(grammar, words, **config))
+                        allowed = base.shared_positions(words)
+                        positions = [allowed + 1] if overreach else range(allowed + 1)
+                        variant = f"{strategy} {depth} lookahead={lookahead} from {before}"
+                        for at in positions:
+                            resumed = _Parser(grammar, tables, depth, lookahead, True,
+                                              None).run(words, base.chart, at)
+                            if _resume_snapshot(resumed) != fresh:
+                                yield f"{variant} at {at}", words
+                        if _resume_snapshot(base) != held:
+                            yield f"{variant}: earlier result changed", words
+
+
 # Every seed of 0-199 and 1000-1299 that disagreed with the oracle while
 # the chart still packed derivations into more general edges and replaced
 # more specific ones.
@@ -311,6 +375,17 @@ def test_generated_sort_grammar_deferred_readings_match_sorts(seed):
 @pytest.mark.parametrize("seed", SORT_SEEDS)
 def test_generated_sort_grammar_sem_readings_match_tree_logical_forms(seed):
     assert list(sem_disagreements(seed)) == []
+
+
+@pytest.mark.parametrize("seed", SORT_SEEDS)
+def test_resumed_parses_of_generated_grammars_equal_fresh_parses(seed):
+    assert list(resume_disagreements(seed)) == []
+
+
+def test_resuming_one_position_past_the_lookahead_rule_disagrees():
+    # the check above means something only if the rule is needed
+    assert any(next(resume_disagreements(seed, overreach=True), None)
+               for seed in SORT_SEEDS)
 
 
 @pytest.mark.parametrize("seed", SORT_SEEDS)
@@ -407,7 +482,7 @@ if __name__ == "__main__":
     found = False
     for seed in range(first, stop):
         for check in (disagreements, sort_disagreements, sem_disagreements,
-                      cover_disagreements):
+                      cover_disagreements, resume_disagreements):
             for variant, words in check(seed):
                 print(seed, variant, words)
                 found = True

@@ -6,9 +6,10 @@ of tables per strategy for the parses that pass none. These tests check
 the invariant that makes the memo's keys sound (no two readings of one
 chart share a variable), that tables which have already parsed a
 corpus give the same results as fresh ones, that the grammar's tables
-are compiled once and shared by every `rescore` call, and that the
-memo stays within its bound by evicting its least recently used
-entries.
+are compiled once and shared by every `rescore` call, that rescoring,
+whose parses resume from each other, gives the rows of fresh parses in
+any hypothesis order, and that the memo stays within its bound by
+evicting its least recently used entries.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from gapchart import engine
 from gapchart.data import path as data_path, read_text
 from gapchart.engine import MEMO_LIMIT, parse, tokenize
 from gapchart.grammar import load_grammar, parse_grammar
-from gapchart.scoring import Hypothesis, read_nbest, rescore
+from gapchart.scoring import Hypothesis, min_fragment_cover, nl_score, read_nbest, rescore
 from gapchart.tables import compile_tables
 from gapchart.terms import Var, leaves
 
@@ -130,9 +131,33 @@ def test_warm_tables_give_the_results_of_cold_tables(name, utterances):
                     == _snapshot(_parse(grammar, utt, depth, cold))), (depth, utt)
 
 
-def _rescored(grammar, groups, depth):
+# every way two hypotheses of a list can share a word prefix: one is a
+# prefix of another, a deletion, a substitution at word 0, and an
+# unknown word inside the shared prefix
+PREFIX_LIST = ("the pilot serves boston", "the pilot serves", "the serves boston",
+               "united pilot serves boston", "the uh pilot serves boston",
+               "the uh pilot lands")
+
+
+def _hypotheses(utt: str, utterances) -> dict[str, list[Hypothesis]]:
+    return {utt: [Hypothesis(utt, i, -float(i), tuple(tokenize(u)))
+                  for i, u in enumerate(utterances, 1)]}
+
+
+def _rescored(grammar, groups, depth, strategy):
     return {(r.utt, r.words): (r.nl, r.fragments, r.is_sentence)
-            for r in rescore(grammar, groups, depth=depth)}
+            for r in rescore(grammar, groups, depth=depth, strategy=strategy)}
+
+
+def _parsed_afresh(grammar, groups, depth, strategy):
+    """What `_rescored` gives, from a fresh parse of every hypothesis."""
+    out = {}
+    for utt, hyps in groups.items():
+        for hyp in hyps:
+            cover = min_fragment_cover(parse(grammar, list(hyp.words), strategy=strategy,
+                                             depth=depth, robust=True))
+            out[(utt, hyp.words)] = (nl_score(cover), cover.count, cover.is_single_sentence)
+    return out
 
 
 @pytest.mark.parametrize("depth", ("syn", *SEM_DEPTHS))
@@ -140,13 +165,16 @@ def test_rescoring_does_not_depend_on_hypothesis_order(sorts_grammar, fragments_
                                                        utterances, depth):
     cases = [
         (fragments_grammar, read_nbest(data_path("nbest.tsv"))),
-        (sorts_grammar, {"all": [Hypothesis("all", i, -float(i), tuple(tokenize(u)))
-                                 for i, u in enumerate(utterances, 1)]}),
+        (sorts_grammar, _hypotheses("all", utterances)),
+        (sorts_grammar, _hypotheses("prefixes", PREFIX_LIST)),
     ]
     for grammar, groups in cases:
         reversed_groups = {utt: hyps[::-1] for utt, hyps in groups.items()}
-        assert (_rescored(grammar, reversed_groups, depth)
-                == _rescored(grammar, groups, depth))
+        # `lc` predicts on every grammar, so its parses resume a word earlier
+        for strategy in ("llc", "lc"):
+            fresh = _parsed_afresh(grammar, groups, depth, strategy)
+            assert _rescored(grammar, groups, depth, strategy) == fresh
+            assert _rescored(grammar, reversed_groups, depth, strategy) == fresh
 
 
 def _noun_grammar(nouns):

@@ -165,6 +165,36 @@ def test_fallback_cost_steers_cover_choice(fragments_grammar):
     assert cover_tie.count == 1 and cover_tie.is_single_sentence
 
 
+# one-word phrases of several backbones and categories, and one
+# two-word phrase, that all cost what a fallback word costs
+TIES = """
+start s()
+feature b f
+rule b1 : b(f=u) -> n()
+rule b2 : b(f=v) -> n()
+rule bb : b() -> n() n()
+lex w : n()
+lex x : n()
+lex x : s()
+"""
+
+
+def test_cover_ties_go_to_longer_arcs_the_start_category_phrases_and_earlier_edges():
+    g = parse_grammar(TIES)
+    even = ScoreWeights(fallback_cost=1.0)
+
+    def chosen(utterance):
+        result = parse(g, tokenize(utterance), strategy="bu")
+        return result.chart.edges, [a.edge for a in min_fragment_cover(result, even).arcs]
+
+    _, (edge,) = chosen("w w")
+    assert (edge.start, edge.end, edge.backbone) == (0, 2, "b")
+    edges, (edge,) = chosen("x")
+    assert edge.backbone == "s" and edge is not edges[0]
+    edges, (edge,) = chosen("w")
+    assert len(edges) == 3 and edge is edges[0]
+
+
 def test_weights_reject_unknown_keys(tmp_path):
     with pytest.raises(ValueError):
         ScoreWeights.from_dict({"scael": 1.0})
