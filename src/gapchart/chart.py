@@ -27,7 +27,6 @@ finished one by sharing them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Generic, TypeVar
 
 from .grammar import Rule
@@ -45,30 +44,35 @@ from .terms import (
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
 class Derivation:
-    """One way an edge was built: a word, an empty rule, or a reduction."""
+    """One way an edge was built: a word, an empty rule, or a reduction.
 
-    kind: str  # "lex" | "empty" | "rule"
-    rule: Rule | None = None
-    word: str | None = None
-    daughters: tuple["Edge", ...] = ()
+    Its packing `key` (kind, rule name, word and daughter ids) is built
+    once, here: an edge keeps one derivation per key. An edge's first
+    derivation is the one it was made with, so its daughters were in the
+    chart before the edge and have smaller ids."""
 
-    @property
-    def key(self) -> tuple:
-        return (
-            self.kind,
-            self.rule.name if self.rule else None,
-            self.word,
-            tuple(d.id for d in self.daughters),
-        )
+    __slots__ = ("kind", "rule", "word", "daughters", "key")
+
+    def __init__(self, kind: str, rule: Rule | None = None, word: str | None = None,
+                 daughters: tuple[Edge, ...] = ()):
+        self.kind = kind  # "lex" | "empty" | "rule"
+        self.rule = rule
+        self.word = word
+        self.daughters = daughters
+        self.key = (kind, None if rule is None else rule.name, word,
+                    tuple([d.id for d in daughters]))
+
+    def __repr__(self) -> str:
+        return f"Derivation{self.key!r}"
 
 
 class Edge:
     """A span with a category, packed derivations, and the one reading
-    they share (None at `syn`)."""
+    they share (None at `syn`). `backbone` is the category's, kept on
+    the edge when it is made."""
 
-    __slots__ = ("id", "start", "end", "cat", "derivations", "reading",
+    __slots__ = ("id", "start", "end", "cat", "backbone", "derivations", "reading",
                  "_deriv_keys")
 
     def __init__(self, eid: int, start: int, end: int, cat: FeatureTerm,
@@ -77,13 +81,10 @@ class Edge:
         self.start = start
         self.end = end
         self.cat = cat
+        self.backbone = cat.backbone
         self.derivations: list[Derivation] = []
         self.reading = reading
         self._deriv_keys: set[tuple] = set()
-
-    @property
-    def backbone(self) -> str:
-        return self.cat.backbone
 
     def add_derivation(self, d: Derivation) -> bool:
         key = d.key

@@ -177,21 +177,34 @@ class ParseResult:
         The list holds every tree of every complete edge, in edge order,
         derivation order, and then `itertools.product` order over the
         daughters; `trees(n)` is exactly `trees()[:n]`. Above `syn` a
-        tree is listed once per reading edge that holds it. Each tree is
-        unranked from per-edge tree counts rather than expanded, so the
-        first n trees cost time linear in the forest and in their own
-        size, not in the number of trees. Cyclic derivations (possible only through unproductive
-        chains) are cut rather than expanded.
+        tree is listed once per reading edge that holds it. Cyclic
+        derivations (possible only through unproductive chains) are cut
+        rather than expanded.
+
+        Every complete edge has a tree, and its first one is read off
+        first derivations alone: an edge's first derivation has
+        daughters with smaller ids, so following first derivations meets
+        no edge twice and no cycle. So `trees(n)` counts the trees of a
+        complete edge only when a second tree of that edge is wanted, and
+        counts every complete edge when `limit` is None or negative, for
+        the length of the list. A tree past the first is unranked from
+        per-edge tree counts rather than expanded, so the first n trees
+        cost time linear in the counted forest and in their own size,
+        not in the number of trees.
         """
+        roots = self.complete_edges()
         unranker = _Unranker()
-        roots = [(edge, unranker.counts.value(edge))
-                 for edge in self.complete_edges()]
-        # the length of `trees()[:limit]`, negative limits included
-        wanted = len(range(sum(n for _, n in roots))[:limit])
+        if limit is None or limit < 0:
+            # the length of `trees()[:limit]`
+            limit = len(range(sum(unranker.counts.value(e) for e in roots))[:limit])
         out: list[str] = []
-        for edge, n in roots:
-            for index in range(min(n, wanted - len(out))):
-                out.append(unranker.tree(edge, index, set()))
+        for edge in roots:
+            wanted = limit - len(out)
+            if wanted == 1:
+                out.append(_first_tree(edge))
+            elif wanted > 1:
+                n = unranker.counts.value(edge)
+                out += [unranker.tree(edge, i, set()) for i in range(min(n, wanted))]
         return out
 
 
@@ -225,10 +238,8 @@ class _Unranker:
             index, k = divmod(index, size)
             parts.append(self.tree(child, k, path))
         path.remove(edge.id)
-        if d.kind == "lex":
-            tree = d.word
-        else:
-            tree = f"({' '.join([d.rule.name, *reversed(parts)])})"
+        parts.reverse()
+        tree = _render(d, parts)
         if self.counts.settled(edge):
             self._trees[key] = tree
         return tree
@@ -244,6 +255,20 @@ class _Unranker:
             if self.counts.settled(edge):
                 self._choices[edge.id] = choices
         return choices
+
+
+def _first_tree(edge: Edge) -> str:
+    """Tree number 0 of the edge as a root: its first derivation over
+    the first trees of its daughters."""
+    d = edge.derivations[0]
+    return _render(d, [_first_tree(child) for child in d.daughters])
+
+
+def _render(d: Derivation, parts: list[str]) -> str:
+    """The s-expression of a derivation over its daughters' trees."""
+    if d.kind == "lex":
+        return d.word
+    return f"({' '.join([d.rule.name, *parts])})"
 
 
 class _Parser:

@@ -270,7 +270,7 @@ def tree_yield(tree):
 
 def assert_limits_are_prefixes(result):
     every = result.trees()
-    for n in range(len(every) + 2):
+    for n in range(-len(every) - 1, len(every) + 2):
         assert result.trees(n) == every[:n], n
     return every
 
@@ -296,6 +296,26 @@ def test_trees_cut_unary_cycles(strategy):
     assert assert_limits_are_prefixes(r) == [
         "(aaw (aaw x w) w)", "(aaw (aaw (ab (bc x)) w) w)"
     ]
+
+
+@pytest.mark.parametrize("strategy", ["bu", "llc", "lc"])
+@pytest.mark.parametrize("text, utterances", [
+    (UNARY_CYCLE, ["x", "x w w"]),
+    (EPSILON_CHAIN, ["w"]),
+], ids=["unary-cycle", "epsilon-chain"])
+def test_first_derivations_have_earlier_daughters(text, utterances, strategy):
+    # a first tree is read off first derivations without counting, which
+    # needs no cycle cut only because their daughters come earlier
+    g = parse_grammar(text)
+    later = 0
+    for utt in utterances:
+        r = parse(g, tokenize(utt), strategy=strategy)
+        for e in r.chart.edges:
+            first, *rest = e.derivations
+            assert all(d.id < e.id for d in first.daughters), e
+            later += sum(d.id > e.id for derivation in rest for d in derivation.daughters)
+    # the cycles do close through later derivations
+    assert later > 0 if text is UNARY_CYCLE else later == 0
 
 
 def test_first_trees_of_a_huge_forest_come_fast(ambig_grammar):

@@ -23,13 +23,18 @@ position the resumption rule allows, gives the fresh parse's chart,
 trees and readings and leaves the earlier result unchanged; resuming
 one position past the lookahead rule does not.
 
+On fresh and resumed parses of both kinds of grammar, at every depth,
+`trees(n)` is `trees()[:n]` for small, negative and no limits, and
+every edge's first derivation has daughters with smaller ids, which is
+what lets a first tree be read without counting.
+
 To sweep a wider range of seeds, run
 
     PYTHONPATH=src python tests/test_generated.py FIRST STOP
 
 which prints each disagreeing seed, strategy (and depth) and input for
-the seeds FIRST to STOP - 1, over the tree, reading, cover and resume
-checks, and exits 1 if there is any.
+the seeds FIRST to STOP - 1, over the tree, reading, cover, resume and
+tree-limit checks, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -305,6 +310,49 @@ def resume_disagreements(seed: int, overreach: bool = False) -> Iterator[tuple[s
                             yield f"{variant}: earlier result changed", words
 
 
+LIMITS = (0, 1, 2, 3, -1, -2, None)
+
+
+def first_derivations_look_back(result) -> bool:
+    """Whether every edge's first derivation has daughters with smaller
+    ids, which is what lets `trees` read a first tree without counting."""
+    return all(d.id < e.id for e in result.chart.edges for d in e.derivations[0].daughters)
+
+
+def _limit_parses(seed: int) -> Iterator[tuple[str, object]]:
+    """(configuration, result) for robust parses of generated inputs,
+    fresh and resumed from the chart of an input one word apart: at
+    `syn` on a generated grammar and at `sem`, `sorts` and `deferred` on
+    a generated sort grammar, under every strategy."""
+    for depths, make in ((("syn",), random_grammar),
+                         (("sem", "sorts", "deferred"), random_sort_grammar)):
+        rng = random.Random(seed)
+        grammar = make(rng)
+        pairs = _resume_pairs(rng, grammar)
+        for strategy in ("bu", "llc", "lc"):
+            tables = compile_tables(grammar, strategy)
+            for depth in depths:
+                config = dict(strategy=strategy, depth=depth, robust=True, tables=tables)
+                for before, words in pairs:
+                    base = parse(grammar, before, **config)
+                    yield f"{strategy} {depth} fresh", base
+                    yield (f"{strategy} {depth} resumed from {before}",
+                           parse(grammar, words, resume_from=base, **config))
+
+
+def limit_disagreements(seed: int) -> Iterator[tuple[str, list[str]]]:
+    """(configuration, words) for every parse of `_limit_parses` whose
+    `trees(n)` differs from `trees()[:n]` for some n of `LIMITS`, or in
+    which some edge's first derivation has a daughter with a larger id."""
+    for variant, result in _limit_parses(seed):
+        every = result.trees()
+        for n in LIMITS:
+            if result.trees(n) != every[:n]:
+                yield f"{variant} limit {n}", result.words
+        if not first_derivations_look_back(result):
+            yield f"{variant}: a first derivation looks ahead", result.words
+
+
 # Every seed of 0-199 and 1000-1299 that disagreed with the oracle while
 # the chart still packed derivations into more general edges and replaced
 # more specific ones.
@@ -391,6 +439,21 @@ def test_resuming_one_position_past_the_lookahead_rule_disagrees():
 @pytest.mark.parametrize("seed", SORT_SEEDS)
 def test_generated_grammar_covers_cost_what_the_exhaustive_tiling_costs(seed):
     assert list(cover_disagreements(seed)) == []
+
+
+@pytest.mark.parametrize("seed", SORT_SEEDS)
+def test_tree_limits_of_generated_grammars_are_prefixes(seed):
+    assert list(limit_disagreements(seed)) == []
+
+
+def test_generated_forests_have_derivations_with_later_daughters():
+    # a first tree is read off first derivations; the check above means
+    # more if later derivations of some edges do reach later edges
+    later = sum(d.id > e.id
+                for seed in SORT_SEEDS for _, result in _limit_parses(seed)
+                for e in result.chart.edges
+                for derivation in e.derivations[1:] for d in derivation.daughters)
+    assert later >= 50
 
 
 def _ground_annotations(value: object) -> Iterator[LFAnn]:
@@ -482,7 +545,7 @@ if __name__ == "__main__":
     found = False
     for seed in range(first, stop):
         for check in (disagreements, sort_disagreements, sem_disagreements,
-                      cover_disagreements, resume_disagreements):
+                      cover_disagreements, resume_disagreements, limit_disagreements):
             for variant, words in check(seed):
                 print(seed, variant, words)
                 found = True
