@@ -108,7 +108,8 @@ class ForestFold(Generic[T]):
     cut is path-dependent, so a value is memoised only when its whole
     computation hit no cut; such a value is the same on every path.
     Counting trees is (0, +, product); the cheapest derivation is
-    (inf, min, sum).
+    (inf, min, sum). The fold runs on an explicit stack, so a forest
+    deeper than Python's recursion limit folds too.
     """
 
     def __init__(self, zero: T, plus: Callable[[T, T], T],
@@ -121,32 +122,64 @@ class ForestFold(Generic[T]):
     def value(self, edge: Edge, path: set[int] | None = None) -> T:
         """The edge's value below `path`, the ids of the edges above it
         on the current root path (default: the edge is a root)."""
-        return self._fold(edge, set() if path is None else path)[0]
+        got = self._memo.get(edge.id)
+        if got is not None:
+            return got
+        if path is None:
+            path = set()
+        elif edge.id in path:
+            return self.zero
+        return self._fold(edge, path)
 
     def settled(self, edge: Edge) -> bool:
         """Whether the edge's value is memoised, and so path-independent."""
         return edge.id in self._memo
 
-    def _fold(self, edge: Edge, path: set[int]) -> tuple[T, bool]:
-        got = self._memo.get(edge.id)
-        if got is not None:
-            return got, True
-        if edge.id in path:
-            return self.zero, False
+    def _fold(self, edge: Edge, path: set[int]) -> T:
+        # The depth-first fold of an edge neither memoised nor on the
+        # path, on an explicit stack, since a forest's depth grows with
+        # the input. The state of the edge being folded is held in
+        # locals: its derivations still to fold, the derivation `d` and
+        # its daughters still to visit, the daughters' `values` so far,
+        # `best` over the derivations folded, and whether a cut was hit.
+        # A daughter to fold saves that state on the stack.
+        memo, zero, plus, derive = self._memo, self.zero, self.plus, self.derive
+        stack = []
         path.add(edge.id)
-        best = self.zero
-        clean = True
-        for d in edge.derivations:
-            values = []
-            for child in d.daughters:
-                value, ok = self._fold(child, path)
-                clean = clean and ok
+        derivations = iter(edge.derivations)
+        d = next(derivations)
+        daughters, values, best, clean = iter(d.daughters), [], zero, True
+        while True:
+            for child in daughters:
+                value = memo.get(child.id)
+                if value is None:
+                    if child.id not in path:
+                        break
+                    value, clean = zero, False
                 values.append(value)
-            best = self.plus(best, self.derive(d, values))
-        path.remove(edge.id)
-        if clean:
-            self._memo[edge.id] = best
-        return best, clean
+            else:
+                best = plus(best, derive(d, values))
+                d = next(derivations, None)
+                if d is not None:
+                    daughters, values = iter(d.daughters), []
+                    continue
+                # the edge is folded: hand its value to its parent
+                path.remove(edge.id)
+                if clean:
+                    memo[edge.id] = best
+                if not stack:
+                    return best
+                value, ok = best, clean
+                edge, derivations, d, daughters, values, best, clean = stack.pop()
+                values.append(value)
+                clean = clean and ok
+                continue
+            stack.append((edge, derivations, d, daughters, values, best, clean))
+            edge = child
+            path.add(edge.id)
+            derivations = iter(edge.derivations)
+            d = next(derivations)
+            daughters, values, best, clean = iter(d.daughters), [], zero, True
 
 
 class Chart:
@@ -198,7 +231,9 @@ class Chart:
         category's only variant is itself, so it is its own group."""
         group = (start, end, cat if cat.ground else cat.backbone,
                  None if reading is None else reading.render)
-        peers = self._by_group.setdefault(group, [])
+        peers = self._by_group.get(group)
+        if peers is None:
+            peers = self._by_group[group] = []
         for other in peers:
             if cat.ground or variants(other.cat, cat):
                 added = other.add_derivation(derivation)

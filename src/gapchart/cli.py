@@ -1,8 +1,8 @@
 """Command line interface.
 
 Subcommands: validate, parse, stats, cover, rescore. Exit status is 0
-on success, 1 for input problems (missing files, unknown words in
-strict mode, malformed n-best or weights data), and 2 for an invalid
+on success, 1 for input problems (missing or unreadable files, unknown
+words in strict mode, malformed n-best or weights data), and 2 for an invalid
 grammar or an impossible configuration (including a context-dependent
 set that is not closed under possible-left-corner-of).
 """
@@ -247,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnknownWordError as exc:
         print(f"input: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"input: {exc}", file=sys.stderr)
         return 1
 

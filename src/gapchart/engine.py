@@ -7,6 +7,20 @@ its predictions and then searches for reductions it completes, with new
 edges processed depth-first as they are found. Empty categories are
 added to a fixpoint at every string position.
 
+One loop processes edges. An edge makes its predictions, and its
+search for reductions is one generator, pushed on an explicit stack.
+The search runs through the reduction triggers of the edge's backbone
+(each carries the rule's daughters already sliced around the edge's
+position), matches the trailing daughters against the empty edges at
+the edge's end and the tail daughters right to left, the first of them
+in a plain loop, and adds the edge of each reading of a match to the
+chart in place. Each new edge is yielded at once: it makes its
+predictions and its own search goes on top of the stack, so it is
+reduced before the search that found it resumes. The edge lists a
+search runs over are live, so a resumed search sees the edges added
+meanwhile. The order is that of the depth-first recursion, and the
+depth of Python's stack does not grow with the input.
+
 The chart grows strictly left to right. Scanning word p-1 and closing
 position p under the empty rules builds every edge that ends at p,
 every derivation of such an edge and every prediction made at p;
@@ -57,7 +71,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .chart import Chart, Derivation, Edge, ForestFold
 from .grammar import Grammar, Rule
@@ -190,7 +204,9 @@ class ParseResult:
         the length of the list. A tree past the first is unranked from
         per-edge tree counts rather than expanded, so the first n trees
         cost time linear in the counted forest and in their own size,
-        not in the number of trees.
+        not in the number of trees. Trees are read and counted on
+        explicit stacks, so a forest deeper than Python's recursion limit
+        unpacks too.
         """
         roots = self.complete_edges()
         unranker = _Unranker()
@@ -223,26 +239,48 @@ class _Unranker:
         self._trees: dict[tuple[int, int], str] = {}
 
     def tree(self, edge: Edge, index: int, path: set[int]) -> str:
-        """Tree number `index` of the edge below the root path `path`."""
-        key = (edge.id, index)
-        tree = self._trees.get(key)
-        if tree is not None:
-            return tree
-        path.add(edge.id)
-        for d, sizes, total in self._derivations(edge, path):
-            if index < total:
-                break
-            index -= total
-        parts = []
-        for child, size in zip(reversed(d.daughters), reversed(sizes)):
-            index, k = divmod(index, size)
-            parts.append(self.tree(child, k, path))
-        path.remove(edge.id)
-        parts.reverse()
-        tree = _render(d, parts)
-        if self.counts.settled(edge):
-            self._trees[key] = tree
-        return tree
+        """Tree number `index` of the edge below the root path `path`.
+
+        Depth-first on explicit stacks, since a forest's depth grows with
+        the input. Reading an edge's tree puts the edge on the path,
+        chooses its derivation and daughter indices, and takes the
+        daughters' trees that are kept; the edge goes on `open` with its
+        parts, and `todo` gets a None, which renders it, under the
+        daughters still to read, the last daughter on top. A tree read
+        goes into its slot of its parent's parts."""
+        trees = self._trees
+        root = [trees.get((edge.id, index))]
+        todo: list = [] if root[0] is not None else [(edge, index, root, 0)]
+        opened: list = []
+        while todo:
+            item = todo.pop()
+            if item is None:
+                edge, index, d, parts, into, slot = opened.pop()
+                path.remove(edge.id)
+                into[slot] = tree = _render(d, parts)
+                if self.counts.settled(edge):
+                    trees[edge.id, index] = tree
+                continue
+            edge, index, into, slot = item
+            path.add(edge.id)
+            i = index
+            for d, sizes, total in self._derivations(edge, path):
+                if i < total:
+                    break
+                i -= total
+            parts: list = [None] * len(sizes)
+            opened.append((edge, index, d, parts, into, slot))
+            todo.append(None)
+            unread = []
+            for j in range(len(sizes) - 1, -1, -1):
+                i, k = divmod(i, sizes[j])
+                child = d.daughters[j]
+                parts[j] = trees.get((child.id, k))
+                if parts[j] is None:
+                    unread.append((child, k, parts, j))
+            unread.reverse()
+            todo += unread
+        return root[0]
 
     def _derivations(self, edge: Edge, path: set[int]):
         """Each derivation with its daughters' tree counts and its own."""
@@ -259,9 +297,24 @@ class _Unranker:
 
 def _first_tree(edge: Edge) -> str:
     """Tree number 0 of the edge as a root: its first derivation over
-    the first trees of its daughters."""
-    d = edge.derivations[0]
-    return _render(d, [_first_tree(child) for child in d.daughters])
+    the first trees of its daughters, written out in preorder from an
+    explicit stack (`_render`'s format, without a string per subtree)."""
+    out: list[str] = []
+    todo: list[Edge | str] = [edge]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        d = item.derivations[0]
+        if d.kind == "lex":
+            out.append(d.word)
+            continue
+        out.append("(" + d.rule.name)
+        todo.append(")")
+        for child in reversed(d.daughters):
+            todo += (child, " ")
+    return "".join(out)
 
 
 def _render(d: Derivation, parts: list[str]) -> str:
@@ -321,16 +374,19 @@ class _Parser:
             if readings == []:
                 self._say("REJECT", "veto", f"lex:{word}", i, i + 1)
                 continue
-            for edge in self._add(i, i + 1, cat, Derivation("lex", word=word), readings):
-                self._process(edge)
+            derivation = Derivation("lex", word=word)
+            for reading in readings:
+                edge = self._add(i, i + 1, cat, derivation, reading)
+                if edge is not None:
+                    self._process(edge)
 
     # -- memoised semantics ----------------------------------------------
 
-    def _recall(self, key: tuple, compute: Callable, *args: object):
+    def _recall(self, key: tuple, compute: Callable, *args: object) -> Sequence[Reading | None]:
         """The memoised `compute(grammar, *args, depth)`, as renamed
-        copies of the stored readings (None stays None). The memo is
-        kept in order of use, so a full one drops its least recently
-        used entry."""
+        copies of the stored readings; at `syn`, where `compute` gives
+        None, one reading that is None. The memo is kept in order of
+        use, so a full one drops its least recently used entry."""
         memo = self.tables.memo
         got = memo.pop(key, memo)  # None is a value: syn has no readings
         if got is memo:
@@ -338,12 +394,13 @@ class _Parser:
                 del memo[next(iter(memo))]
             got = compute(self.grammar, *args, self.depth)
         memo[key] = got
-        return None if got is None else [r.renamed() for r in got]
+        return (None,) if got is None else [r.renamed() for r in got]
 
-    def _combine(self, rule: Rule, daughters: tuple[Edge, ...]) -> list[Reading] | None:
-        """The readings of a phrase; None at `syn`, and [] for a veto."""
+    def _combine(self, rule: Rule, daughters: tuple[Edge, ...]) -> Sequence[Reading | None]:
+        """The readings of a phrase: one that is None at `syn`, and none
+        for a veto."""
         if self.depth == SYN:
-            return None
+            return (None,)
         # an edge that fills two daughter positions (an empty edge can)
         # gets fresh variables for each use after the first
         dreadings = [d.reading.renamed() if d in daughters[:i] else d.reading
@@ -352,31 +409,34 @@ class _Parser:
         return self._recall(key, combine_readings, rule, dreadings)
 
     def _add(self, start: int, end: int, cat: FeatureTerm, derivation: Derivation,
-             readings: list[Reading] | None) -> Iterator[Edge]:
-        """Insert a derivation once per reading (once at `syn`), and
-        yield each new edge as soon as it is in the chart."""
-        for reading in [None] if readings is None else readings:
-            edge, outcome = self.chart.add_edge(start, end, cat, derivation, reading)
-            if outcome == "new":
-                if self.trace is not None:
-                    self._say("ADD-EDGE", edge.id, start, end, canonical(cat))
-                yield edge
+             reading: Reading | None) -> Edge | None:
+        """Insert a derivation with one reading; the edge if it is new,
+        None if the derivation packed into an edge already there."""
+        edge, outcome = self.chart.add_edge(start, end, cat, derivation, reading)
+        if outcome != "new":
+            return None
+        if self.trace is not None:
+            self._say("ADD-EDGE", edge.id, start, end, canonical(cat))
+        return edge
 
     # -- control -------------------------------------------------------
 
     def _process(self, edge: Edge) -> None:
-        # explicit stack, exact depth-first recursion order
-        stack = [self._work(edge)]
+        """Make the edge's predictions and reduce it; every new edge a
+        reduction yields is processed the same way, at once, before the
+        search that found it goes on. The searches in progress are kept
+        on an explicit stack (one reduction generator per edge), so the
+        order is that of the depth-first recursion and its depth does
+        not grow with the input."""
+        self._make_new_predictions(edge)
+        stack = [self._find_new_reductions(edge)]
         while stack:
             nxt = next(stack[-1], None)
             if nxt is None:
                 stack.pop()
             else:
-                stack.append(self._work(nxt))
-
-    def _work(self, edge: Edge) -> Iterator[Edge]:
-        self._make_new_predictions(edge)
-        yield from self._find_new_reductions(edge)
+                self._make_new_predictions(nxt)
+                stack.append(self._find_new_reductions(nxt))
 
     def _empty_fixpoint(self, pos: int) -> None:
         changed = True
@@ -386,13 +446,12 @@ class _Parser:
                 if not self._licensed(rule.head.backbone, pos):
                     continue
                 head = refresh(rule.head, {})
-                readings = self._combine(rule, ())
-                if readings == []:
-                    continue
-                for edge in self._add(pos, pos, head, Derivation("empty", rule=rule),
-                                      readings):
-                    changed = True
-                    self._process(edge)
+                derivation = Derivation("empty", rule=rule)
+                for reading in self._combine(rule, ()):
+                    edge = self._add(pos, pos, head, derivation, reading)
+                    if edge is not None:
+                        changed = True
+                        self._process(edge)
 
     # -- predictions ---------------------------------------------------
 
@@ -443,73 +502,97 @@ class _Parser:
     # -- reductions ----------------------------------------------------
 
     def _find_new_reductions(self, e: Edge) -> Iterator[Edge]:
-        for rule, pos in self.tables.reduction_triggers.get(e.backbone, ()):
-            trailing = rule.rhs[pos + 1 :]
-            if trailing and not self.chart.empty_edges_at(e.end):
+        """Yield each new edge that `e` completes as soon as it is in the
+        chart, with `e` as the daughter a reduction trigger names: the
+        trailing daughters are matched against empty edges at `e.end`,
+        then the tail right to left, its first daughter last and in
+        place. The edge lists are live, so a search paused at a yield
+        sees the edges added while the new edge was processed."""
+        chart = self.chart
+        end = e.end
+        for rule, daughter, tail, trailing in self.tables.reduction_triggers.get(e.backbone, ()):
+            if trailing and not chart.empty_edges_at(end):
                 continue
-            binds = unify_values(rule.rhs[pos], e.cat, {})
+            binds = unify_values(daughter, e.cat, {})
             if binds is None:
                 continue
-            for binds2, right in self._match_trailing(trailing, e.end, binds, (e,)):
-                for binds3, daughters in self._match_tail(rule.rhs[:pos], e.start, binds2,
-                                                          right):
-                    span_start = daughters[0].start
-                    if not self._licensed(rule.head.backbone, span_start):
-                        continue
-                    # the rename keeps the rule's own variables out of the chart
-                    head_cat = refresh(resolve(rule.head, binds3), {})
-                    readings = self._combine(rule, daughters)
-                    if readings == []:
-                        self._say("REJECT", "veto", rule.name, span_start, e.end)
-                        continue
-                    yield from self._add(span_start, e.end, head_cat,
-                                         Derivation("rule", rule=rule, daughters=daughters),
-                                         readings)
+            rights = (self._match_trailing(trailing, end, binds, (e,)) if trailing
+                      else ((binds, (e,)),))
+            for binds, right in rights:
+                if len(tail) > 1:
+                    matches = self._match_tail(tail[1:], e.start, binds, right)
+                else:
+                    matches = ((binds, right),)
+                for binds, matched in matches:
+                    if tail:
+                        first = tail[0]
+                        lefts = chart.edges_ending_at(matched[0].start)
+                    else:
+                        # no daughter left to match: one pass, over no edge
+                        first, lefts = None, (None,)
+                    for left in lefts:
+                        if first is None:
+                            b, daughters = binds, matched
+                        else:
+                            if left.backbone != first.backbone:
+                                continue
+                            cat = refresh(left.cat, {}) if left in matched else left.cat
+                            b = unify_values(first, cat, binds)
+                            if b is None:
+                                continue
+                            daughters = (left, *matched)
+                        span_start = daughters[0].start
+                        if not self._licensed(rule.head.backbone, span_start):
+                            continue
+                        # the rename keeps the rule's own variables out of the chart
+                        head_cat = refresh(resolve(rule.head, b), {})
+                        readings = self._combine(rule, daughters)
+                        if readings == []:
+                            self._say("REJECT", "veto", rule.name, span_start, end)
+                            continue
+                        derivation = Derivation("rule", rule=rule, daughters=daughters)
+                        for reading in readings:
+                            edge = self._add(span_start, end, head_cat, derivation, reading)
+                            if edge is not None:
+                                yield edge
 
     def _match_tail(self, elems: tuple[FeatureTerm, ...], end: int, binds,
                     matched: tuple[Edge, ...]) -> Iterator[tuple[object, tuple[Edge, ...]]]:
-        """Match `elems` right to left against edges ending at `end`, in
-        front of the daughters `matched` so far; yields the bindings and
-        all the daughters. A daughter matched again (only an empty edge
-        can be) is matched under fresh variables, so that each use binds
-        its own."""
-        if not elems:
-            yield binds, matched
-            return
+        """Match the non-empty `elems` right to left against edges ending
+        at `end`, in front of the daughters `matched` so far; yields the
+        bindings and all the daughters. A daughter matched again (only an
+        empty edge can be) is matched under fresh variables, so that each
+        use binds its own."""
         last = elems[-1]
-        edges = self.chart.edges_ending_at(end)
-        i = 0
-        while i < len(edges):  # the list may grow while we are suspended
-            edge = edges[i]
-            i += 1
+        for edge in self.chart.edges_ending_at(end):  # live: it may grow while we wait
             if edge.backbone != last.backbone:
                 continue
             cat = refresh(edge.cat, {}) if edge in matched else edge.cat
             b2 = unify_values(last, cat, binds)
             if b2 is None:
                 continue
-            yield from self._match_tail(elems[:-1], edge.start, b2, (edge, *matched))
+            if len(elems) == 1:
+                yield b2, (edge, *matched)
+            else:
+                yield from self._match_tail(elems[:-1], edge.start, b2, (edge, *matched))
 
     def _match_trailing(self, elems: tuple[FeatureTerm, ...], at: int, binds,
                         matched: tuple[Edge, ...]) -> Iterator[tuple[object, tuple[Edge, ...]]]:
-        """Match `elems` left to right against empty edges at `at`, after
-        the daughters `matched` so far; as `_match_tail` otherwise."""
-        if not elems:
-            yield binds, matched
-            return
+        """Match the non-empty `elems` left to right against empty edges
+        at `at`, after the daughters `matched` so far; as `_match_tail`
+        otherwise."""
         first = elems[0]
-        edges = self.chart.edges_ending_at(at)
-        i = 0
-        while i < len(edges):
-            edge = edges[i]
-            i += 1
+        for edge in self.chart.edges_ending_at(at):
             if edge.start != at or edge.backbone != first.backbone:
                 continue
             cat = refresh(edge.cat, {}) if edge in matched else edge.cat
             b2 = unify_values(first, cat, binds)
             if b2 is None:
                 continue
-            yield from self._match_trailing(elems[1:], at, b2, (*matched, edge))
+            if len(elems) == 1:
+                yield b2, (*matched, edge)
+            else:
+                yield from self._match_trailing(elems[1:], at, b2, (*matched, edge))
 
 
 def tokenize(utterance: str) -> list[str]:

@@ -17,6 +17,7 @@ predictions cannot license every phrase a complete parse needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .grammar import Grammar, Rule
 from .terms import FeatureTerm
@@ -34,6 +35,17 @@ class PredictionEntry:
     head: FeatureTerm
     head_ci: bool
     seq: tuple[FeatureTerm, ...]
+
+
+class ReductionTrigger(NamedTuple):
+    """One way a new edge can complete a rule: as the daughter
+    `rule.rhs[len(tail)]`, after the daughters `tail` and before the
+    nullable daughters `trailing` (matched by empty edges in place)."""
+
+    rule: Rule
+    daughter: FeatureTerm
+    tail: tuple[FeatureTerm, ...]
+    trailing: tuple[FeatureTerm, ...]
 
 
 @dataclass
@@ -55,7 +67,7 @@ class CompiledTables:
     left_corner: dict[str, frozenset[str]]
     first_word: dict[str, frozenset[str]]
     entries: dict[str, tuple[PredictionEntry, ...]]
-    reduction_triggers: dict[str, tuple[tuple[Rule, int], ...]]
+    reduction_triggers: dict[str, tuple[ReductionTrigger, ...]]
     empty_rules: tuple[Rule, ...] = ()
     closure_violations: list[tuple[str, str]] = field(default_factory=list)
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -158,16 +170,18 @@ def _entries(grammar: Grammar, cd: frozenset[str]) -> dict[str, tuple[Prediction
 
 def _reduction_triggers(
     grammar: Grammar, nullable: frozenset[str]
-) -> dict[str, tuple[tuple[Rule, int], ...]]:
+) -> dict[str, tuple[ReductionTrigger, ...]]:
     # a new edge can complete a rule from any daughter position whose
     # following daughters are all nullable (matched by empty edges in place)
-    out: dict[str, list[tuple[Rule, int]]] = {}
+    out: dict[str, list[ReductionTrigger]] = {}
     for rule in grammar.rules:
-        n = len(rule.rhs)
+        rhs = rule.rhs
+        n = len(rhs)
         for pos in range(n - 1, -1, -1):
-            if pos < n - 1 and rule.rhs[pos + 1].backbone not in nullable:
+            if pos < n - 1 and rhs[pos + 1].backbone not in nullable:
                 break
-            out.setdefault(rule.rhs[pos].backbone, []).append((rule, pos))
+            trigger = ReductionTrigger(rule, rhs[pos], rhs[:pos], rhs[pos + 1:])
+            out.setdefault(rhs[pos].backbone, []).append(trigger)
     return {b: tuple(ts) for b, ts in out.items()}
 
 

@@ -200,15 +200,17 @@ def unify_values(a: object, b: object, binds: Binds) -> Binds | None:
     """Unify two values under `binds`; return extended binds or None.
 
     Values are variables, atoms (compared by equality) or nodes."""
-    a = walk(a, binds)
-    b = walk(b, binds)
+    if type(a) is Var:
+        a = walk(a, binds)
+    if type(b) is Var:
+        b = walk(b, binds)
     if a is b:
         return binds
-    if isinstance(a, Var):
+    if type(a) is Var:
         if occurs(a, b, binds):
             return None
         return {**binds, a: b}
-    if isinstance(b, Var):
+    if type(b) is Var:
         if occurs(b, a, binds):
             return None
         return {**binds, b: a}
@@ -230,7 +232,8 @@ def unify_values(a: object, b: object, binds: Binds) -> Binds | None:
 
 def resolve(value: object, binds: Binds) -> object:
     """Substitute bindings throughout, leaving free variables in place."""
-    value = walk(value, binds)
+    if type(value) is Var:
+        value = walk(value, binds)
     if isinstance(value, Node) and not value.ground:
         return value.map(resolve, binds)
     return value

@@ -46,6 +46,25 @@ def test_validate_missing_file_exits_1(capsys):
     assert err and err[0].startswith("input:")
 
 
+# a directory where a file is expected, for each path option; "DIR"
+# stands for the directory
+UNREADABLE_PATHS = [
+    pytest.param(["parse", "DIR", "--utt", "x"], id="grammar"),
+    pytest.param(["parse", TOY, "--corpus", "DIR"], id="corpus"),
+    pytest.param(["cover", FRAGMENTS, "--utt", "list flights", "--weights", "DIR"],
+                 id="weights"),
+    pytest.param(["rescore", FRAGMENTS, "--nbest", "DIR"], id="nbest"),
+]
+
+
+@pytest.mark.parametrize("argv", UNREADABLE_PATHS)
+def test_unreadable_path_exits_1(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *[str(tmp_path) if a == "DIR" else a for a in argv])
+    assert code == 1
+    assert out == []
+    assert len(err) == 1 and err[0].startswith("input:") and str(tmp_path) in err[0]
+
+
 def test_validate_bad_grammar_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.gram"
     bad.write_text("rule r : s(agr=x) ->\n")

@@ -3,11 +3,14 @@ empty-category completeness, robustness, and error handling."""
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from gapchart.data import read_text
 from gapchart.engine import ConfigError, UnknownWordError, parse, tokenize
 from gapchart.grammar import parse_grammar
+from gapchart.scoring import min_fragment_cover
 from gapchart.tables import compile_tables
 from gapchart.terms import Var, canonical, canonical_seq, leaves
 
@@ -326,6 +329,37 @@ def test_first_trees_of_a_huge_forest_come_fast(ambig_grammar):
     assert len(set(first)) == 3
     assert all(tree_yield(tree) == words for tree in first)
     assert r.trees(2) == first[:2]
+
+
+RIGHT_BRANCHING = """
+start s()
+rule r0 : s() -> t()
+rule r1 : t() -> a() t()
+rule r2 : t() -> c()
+lex x : a()
+lex y : c()
+"""
+# a unary cycle at every level: each `t` also derives through `u`
+CYCLE_AT_EVERY_LEVEL = RIGHT_BRANCHING + "rule r3 : t() -> u()\nrule r4 : u() -> t()\n"
+
+
+@pytest.mark.parametrize("text", [RIGHT_BRANCHING, CYCLE_AT_EVERY_LEVEL],
+                         ids=["plain", "unary-cycles"])
+def test_trees_and_covers_of_a_deep_forest_need_no_deep_recursion(text):
+    # 2,001 words nest 2,001 phrases, twice Python's default recursion limit
+    assert sys.getrecursionlimit() <= 1000
+    words = ["x"] * 2000 + ["y"]
+    r = parse(parse_grammar(text), words)
+    first = "(r0 " + "(r1 x " * 2000 + "(r2 y)" + ")" * 2001
+    assert r.trees(1) == [first]
+    # a cyclic derivation is cut, so the cycles add no tree
+    assert r.trees() == [first]
+    if text is RIGHT_BRANCHING:
+        # below a cut nothing is memoised, so unranking under the
+        # cycles refolds each level (quadratic, though not recursive)
+        assert r.trees(2) == [first]
+    cover = min_fragment_cover(r)
+    assert cover.is_single_sentence and cover.count == 1
 
 
 def test_no_readings_at_syntax_depth(toy_grammar):

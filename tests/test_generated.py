@@ -28,6 +28,13 @@ On fresh and resumed parses of both kinds of grammar, at every depth,
 every edge's first derivation has daughters with smaller ids, which is
 what lets a first tree be read without counting.
 
+The order in which the engine builds a chart is pinned too: for each
+generated grammar of seeds 0-49 (at `syn` under `bu`, `llc` and `lc`)
+and each generated sort grammar (at `sem` and `deferred` under the
+same strategies), the sha256 of the trace lines, `chart.dump()` and
+`trees(7)` of a fresh parse of each input is compared with
+`tests/golden/order_digests.json`.
+
 To sweep a wider range of seeds, run
 
     PYTHONPATH=src python tests/test_generated.py FIRST STOP
@@ -39,8 +46,11 @@ tree-limit checks, and exits 1 if there is any.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import sys
+from pathlib import Path
 from typing import Iterator
 
 import pytest
@@ -454,6 +464,53 @@ def test_generated_forests_have_derivations_with_later_daughters():
                 for e in result.chart.edges
                 for derivation in e.derivations[1:] for d in derivation.daughters)
     assert later >= 50
+
+
+ORDER_DIGESTS = Path(__file__).parent / "golden" / "order_digests.json"
+ORDER_SEEDS = range(50)
+
+
+def order_digests() -> dict[str, str]:
+    """Per seed, grammar kind, strategy and depth: the sha256 of the
+    trace lines, `chart.dump()` and `trees(7)` of a fresh parse of each
+    of the seed's generated inputs. Any change to the order in which
+    edges and predictions are made, or to what they are, changes it."""
+    out = {}
+    for seed in ORDER_SEEDS:
+        for kind, make, depths in (("gen", random_grammar, ("syn",)),
+                                   ("sort", random_sort_grammar, ("sem", "deferred"))):
+            rng = random.Random(seed)
+            grammar = make(rng)
+            inputs = [random_words(rng, grammar) for _ in range(6)]
+            for strategy in ("bu", "llc", "lc"):
+                tables = compile_tables(grammar, strategy)
+                for depth in depths:
+                    digest = hashlib.sha256()
+                    for words in inputs:
+                        lines: list[str] = []
+                        result = parse(grammar, words, strategy=strategy, depth=depth,
+                                       trace=lines.append, tables=tables)
+                        lines += [result.chart.dump(), *result.trees(7)]
+                        digest.update("\n".join(lines).encode() + b"\0")
+                    out[f"{seed} {kind} {strategy} {depth}"] = digest.hexdigest()
+    return out
+
+
+def write_order_digests() -> None:
+    ORDER_DIGESTS.write_text(json.dumps(order_digests(), indent=1) + "\n", encoding="utf-8")
+
+
+def test_generated_parses_build_their_charts_in_the_recorded_order():
+    """After an intended change to the order or the work of a parse,
+    rewrite the digests with
+
+        PYTHONPATH=src:tests python -c "import test_generated as t; t.write_order_digests()"
+
+    and say in CHANGES.md why they moved."""
+    expected = json.loads(ORDER_DIGESTS.read_text(encoding="utf-8"))
+    got = order_digests()
+    assert [key for key in expected if got.get(key) != expected[key]] == []
+    assert got.keys() == expected.keys()
 
 
 def _ground_annotations(value: object) -> Iterator[LFAnn]:

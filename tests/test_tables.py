@@ -130,9 +130,9 @@ def test_reduction_triggers_cover_nullable_suffixes():
     g = parse_grammar(text)
     tables = compile_tables(g, "bu")
     # b can complete `top` because the trailing c is nullable
-    b_triggers = {(r.name, pos) for r, pos in tables.reduction_triggers["b"]}
+    b_triggers = {(t.rule.name, len(t.tail)) for t in tables.reduction_triggers["b"]}
     assert ("top", 0) in b_triggers
-    c_triggers = {(r.name, pos) for r, pos in tables.reduction_triggers["c"]}
+    c_triggers = {(t.rule.name, len(t.tail)) for t in tables.reduction_triggers["c"]}
     assert ("top", 1) in c_triggers
 
 
@@ -145,10 +145,10 @@ def test_reduction_triggers_stop_at_non_nullable():
     )
     g = parse_grammar(text)
     tables = compile_tables(g, "bu")
-    a_triggers = {(r.name, pos) for r, pos in tables.reduction_triggers.get("a", ())}
+    a_triggers = {(t.rule.name, len(t.tail)) for t in tables.reduction_triggers.get("a", ())}
     assert ("top", 0) not in a_triggers  # b after a is not nullable
     assert ("top", 1) in {
-        (r.name, pos) for r, pos in tables.reduction_triggers["b"]
+        (t.rule.name, len(t.tail)) for t in tables.reduction_triggers["b"]
     }
 
 
