@@ -39,7 +39,7 @@ from .semantics import (
     Reading,
 )
 from .tables import STRATEGIES, CompiledTables, compile_tables
-from .terms import FeatureTerm, Restrictor, Var, canonical, subsumes, variants
+from .terms import FeatureTerm, Restrictor, Var, canonical
 
 __version__ = "0.1.0"
 
@@ -80,7 +80,5 @@ __all__ = [
     "parse_grammar",
     "read_nbest",
     "rescore",
-    "subsumes",
     "tokenize",
-    "variants",
 ]

@@ -217,7 +217,6 @@ class Chart:
             self.preds_created += len(self.predictions[i])
         # ids are consecutive in order of end position
         self.edges: list[Edge] = [] if base is None else base.edges[:self.edges_created]
-        self._next_id = self.edges_created + 1
 
     # -- edges ---------------------------------------------------------
 
@@ -238,8 +237,7 @@ class Chart:
             if cat.ground or variants(other.cat, cat):
                 added = other.add_derivation(derivation)
                 return other, ("packed" if added else "duplicate")
-        edge = Edge(self._next_id, start, end, cat, reading)
-        self._next_id += 1
+        edge = Edge(len(self.edges) + 1, start, end, cat, reading)
         edge.add_derivation(derivation)
         self.edges.append(edge)
         self._by_end[end].append(edge)

@@ -11,14 +11,15 @@ One loop processes edges. An edge makes its predictions, and its
 search for reductions is one generator, pushed on an explicit stack.
 The search runs through the reduction triggers of the edge's backbone
 (each carries the rule's daughters already sliced around the edge's
-position), matches the trailing daughters against the empty edges at
-the edge's end and the tail daughters right to left, the first of them
-in a plain loop, and adds the edge of each reading of a match to the
-chart in place. Each new edge is yielded at once: it makes its
-predictions and its own search goes on top of the stack, so it is
-reduced before the search that found it resumes. The edge lists a
-search runs over are live, so a resumed search sees the edges added
-meanwhile. The order is that of the depth-first recursion, and the
+position). One matcher extends the daughters matched so far: first by
+the trailing daughters, left to right, against the empty edges at the
+edge's end, then by the tail daughters, right to left, against the
+edges ending where the match begins. The edge of each reading of a
+match goes into the chart in place. Each new edge is yielded at once:
+it makes its predictions and its own search goes on top of the stack,
+so it is reduced before the search that found it resumes. The edge
+lists a search runs over are live, so a resumed search sees the edges
+added meanwhile. The order is that of the depth-first recursion, and the
 depth of Python's stack does not grow with the input.
 
 The chart grows strictly left to right. Scanning word p-1 and closing
@@ -195,8 +196,8 @@ class ParseResult:
         derivations (possible only through unproductive chains) are cut
         rather than expanded.
 
-        Every complete edge has a tree, and its first one is read off
-        first derivations alone: an edge's first derivation has
+        Every complete edge has a tree, and its first one is always read
+        off first derivations alone: an edge's first derivation has
         daughters with smaller ids, so following first derivations meets
         no edge twice and no cycle. So `trees(n)` counts the trees of a
         complete edge only when a second tree of that edge is wanted, and
@@ -216,11 +217,12 @@ class ParseResult:
         out: list[str] = []
         for edge in roots:
             wanted = limit - len(out)
-            if wanted == 1:
-                out.append(_first_tree(edge))
-            elif wanted > 1:
+            if wanted < 1:
+                break
+            out.append(_first_tree(edge))
+            if wanted > 1:
                 n = unranker.counts.value(edge)
-                out += [unranker.tree(edge, i, set()) for i in range(min(n, wanted))]
+                out += [unranker.tree(edge, i, set()) for i in range(1, min(n, wanted))]
         return out
 
 
@@ -463,23 +465,22 @@ class _Parser:
         if outcome == "ok" and len(seq) > 1:
             # the empty edges already here were processed before this
             # sequence existed, so advance it over them now
-            first, *rest = self.chart.predictions[pos][-1]
+            seq = self.chart.predictions[pos][-1]
             for e in self.chart.empty_edges_at(pos):
-                binds = unify_values(first, e.cat, {})
-                if binds is not None:
-                    self._predict(pos, tuple(resolve(t, binds) for t in rest))
+                self._advance(seq, e)
+
+    def _advance(self, seq: tuple[FeatureTerm, ...], e: Edge) -> None:
+        """Predict the rest of the non-empty `seq` at `e.end` if `e` can
+        be its first element."""
+        binds = unify_values(seq[0], e.cat, {})
+        if binds is not None and len(seq) > 1:
+            self._predict(e.end, tuple([resolve(t, binds) for t in seq[1:]]))
 
     def _make_new_predictions(self, e: Edge) -> None:
         # advance sequences this edge begins
         for seq in list(self.chart.predictions[e.start]):
-            if not seq:
-                continue
-            binds = unify_values(seq[0], e.cat, {})
-            if binds is None:
-                continue
-            rest = tuple(resolve(t, binds) for t in seq[1:])
-            if rest:
-                self._predict(e.end, rest)
+            if seq:
+                self._advance(seq, e)
         # fire compiled first-daughter entries
         for entry in self.tables.entries.get(e.backbone, ()):
             if not entry.head_ci and not self._licensed(
@@ -503,96 +504,64 @@ class _Parser:
 
     def _find_new_reductions(self, e: Edge) -> Iterator[Edge]:
         """Yield each new edge that `e` completes as soon as it is in the
-        chart, with `e` as the daughter a reduction trigger names: the
-        trailing daughters are matched against empty edges at `e.end`,
-        then the tail right to left, its first daughter last and in
-        place. The edge lists are live, so a search paused at a yield
-        sees the edges added while the new edge was processed."""
-        chart = self.chart
+        chart, with `e` as the daughter a reduction trigger names and the
+        other daughters matched by `_match`."""
         end = e.end
         for rule, daughter, tail, trailing in self.tables.reduction_triggers.get(e.backbone, ()):
-            if trailing and not chart.empty_edges_at(end):
+            if trailing and not self.chart.empty_edges_at(end):
                 continue
             binds = unify_values(daughter, e.cat, {})
             if binds is None:
                 continue
-            rights = (self._match_trailing(trailing, end, binds, (e,)) if trailing
-                      else ((binds, (e,)),))
-            for binds, right in rights:
-                if len(tail) > 1:
-                    matches = self._match_tail(tail[1:], e.start, binds, right)
-                else:
-                    matches = ((binds, right),)
-                for binds, matched in matches:
-                    if tail:
-                        first = tail[0]
-                        lefts = chart.edges_ending_at(matched[0].start)
-                    else:
-                        # no daughter left to match: one pass, over no edge
-                        first, lefts = None, (None,)
-                    for left in lefts:
-                        if first is None:
-                            b, daughters = binds, matched
-                        else:
-                            if left.backbone != first.backbone:
-                                continue
-                            cat = refresh(left.cat, {}) if left in matched else left.cat
-                            b = unify_values(first, cat, binds)
-                            if b is None:
-                                continue
-                            daughters = (left, *matched)
-                        span_start = daughters[0].start
-                        if not self._licensed(rule.head.backbone, span_start):
-                            continue
-                        # the rename keeps the rule's own variables out of the chart
-                        head_cat = refresh(resolve(rule.head, b), {})
-                        readings = self._combine(rule, daughters)
-                        if readings == []:
-                            self._say("REJECT", "veto", rule.name, span_start, end)
-                            continue
-                        derivation = Derivation("rule", rule=rule, daughters=daughters)
-                        for reading in readings:
-                            edge = self._add(span_start, end, head_cat, derivation, reading)
-                            if edge is not None:
-                                yield edge
+            matches = (self._match(trailing, tail, binds, (e,)) if trailing or tail
+                       else ((binds, (e,)),))
+            for binds, daughters in matches:
+                span_start = daughters[0].start
+                if not self._licensed(rule.head.backbone, span_start):
+                    continue
+                # the rename keeps the rule's own variables out of the chart
+                head_cat = refresh(resolve(rule.head, binds), {})
+                readings = self._combine(rule, daughters)
+                if readings == []:
+                    self._say("REJECT", "veto", rule.name, span_start, end)
+                    continue
+                derivation = Derivation("rule", rule=rule, daughters=daughters)
+                for reading in readings:
+                    edge = self._add(span_start, end, head_cat, derivation, reading)
+                    if edge is not None:
+                        yield edge
 
-    def _match_tail(self, elems: tuple[FeatureTerm, ...], end: int, binds,
-                    matched: tuple[Edge, ...]) -> Iterator[tuple[object, tuple[Edge, ...]]]:
-        """Match the non-empty `elems` right to left against edges ending
-        at `end`, in front of the daughters `matched` so far; yields the
-        bindings and all the daughters. A daughter matched again (only an
-        empty edge can be) is matched under fresh variables, so that each
-        use binds its own."""
-        last = elems[-1]
-        for edge in self.chart.edges_ending_at(end):  # live: it may grow while we wait
-            if edge.backbone != last.backbone:
-                continue
-            cat = refresh(edge.cat, {}) if edge in matched else edge.cat
-            b2 = unify_values(last, cat, binds)
-            if b2 is None:
-                continue
-            if len(elems) == 1:
-                yield b2, (edge, *matched)
-            else:
-                yield from self._match_tail(elems[:-1], edge.start, b2, (edge, *matched))
-
-    def _match_trailing(self, elems: tuple[FeatureTerm, ...], at: int, binds,
-                        matched: tuple[Edge, ...]) -> Iterator[tuple[object, tuple[Edge, ...]]]:
-        """Match the non-empty `elems` left to right against empty edges
-        at `at`, after the daughters `matched` so far; as `_match_tail`
-        otherwise."""
-        first = elems[0]
+    def _match(self, trailing: tuple[FeatureTerm, ...], tail: tuple[FeatureTerm, ...],
+               binds, matched: tuple[Edge, ...]) -> Iterator[tuple[object, tuple[Edge, ...]]]:
+        """Extend the daughters `matched` so far by one edge for each of
+        `trailing` and `tail`, not both empty: first the trailing
+        daughters left to right, each by an empty edge at the right end,
+        then the tail right to left, each by an edge ending at the left
+        end. Yields the bindings and all the daughters of each match, the
+        last daughter's in place. The edge lists are live, so a search
+        paused at a yield sees the edges added meanwhile. A daughter
+        matched again (only an empty edge can be) is matched under fresh
+        variables, so that each use binds its own."""
+        right = bool(trailing)
+        if right:
+            term, trailing = trailing[0], trailing[1:]
+            at = matched[-1].end
+        else:
+            term, tail = tail[-1], tail[:-1]
+            at = matched[0].start
+        more = trailing or tail
         for edge in self.chart.edges_ending_at(at):
-            if edge.start != at or edge.backbone != first.backbone:
+            if edge.backbone != term.backbone or right and edge.start != at:
                 continue
             cat = refresh(edge.cat, {}) if edge in matched else edge.cat
-            b2 = unify_values(first, cat, binds)
-            if b2 is None:
+            b = unify_values(term, cat, binds)
+            if b is None:
                 continue
-            if len(elems) == 1:
-                yield b2, (*matched, edge)
+            daughters = (*matched, edge) if right else (edge, *matched)
+            if more:
+                yield from self._match(trailing, tail, b, daughters)
             else:
-                yield from self._match_trailing(elems[1:], at, b2, (*matched, edge))
+                yield b, daughters
 
 
 def tokenize(utterance: str) -> list[str]:

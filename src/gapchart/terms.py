@@ -244,7 +244,8 @@ def _match(general: object, specific: object, sigma: dict[Var, object]) -> bool:
     # `specific`, consistently; `specific` is treated as ground structure
     if isinstance(general, Var):
         if general in sigma:
-            return _equal(sigma[general], specific)
+            # variables compare by identity, feature terms by structure
+            return sigma[general] == specific
         sigma[general] = specific
         return True
     if isinstance(general, str):
@@ -259,22 +260,6 @@ def _match(general: object, specific: object, sigma: dict[Var, object]) -> bool:
             if not _match(gval, smap[name], sigma):
                 return False
         return True
-    return False
-
-
-def _equal(a: object, b: object) -> bool:
-    # structural equality with variable identity
-    if isinstance(a, Var) or isinstance(b, Var):
-        return a is b
-    if isinstance(a, str) and isinstance(b, str):
-        return a == b
-    if isinstance(a, FeatureTerm) and isinstance(b, FeatureTerm):
-        if a.backbone != b.backbone or len(a.feats) != len(b.feats):
-            return False
-        return all(
-            na == nb and _equal(va, vb)
-            for (na, va), (nb, vb) in zip(a.feats, b.feats)
-        )
     return False
 
 

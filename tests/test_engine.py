@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from gapchart import engine
 from gapchart.data import read_text
 from gapchart.engine import ConfigError, UnknownWordError, parse, tokenize
 from gapchart.grammar import parse_grammar
@@ -354,12 +355,23 @@ def test_trees_and_covers_of_a_deep_forest_need_no_deep_recursion(text):
     assert r.trees(1) == [first]
     # a cyclic derivation is cut, so the cycles add no tree
     assert r.trees() == [first]
-    if text is RIGHT_BRANCHING:
-        # below a cut nothing is memoised, so unranking under the
-        # cycles refolds each level (quadratic, though not recursive)
-        assert r.trees(2) == [first]
+    assert r.trees(2) == [first]
     cover = min_fragment_cover(r)
     assert cover.is_single_sentence and cover.count == 1
+
+
+def test_a_first_tree_is_never_unranked(monkeypatch):
+    # a root's tree 0 is read off first derivations, whatever the limit:
+    # unranking it would refold the forest below each level
+    unranked = engine._Unranker.tree
+
+    def tree(self, edge, index, path):
+        assert index > 0
+        return unranked(self, edge, index, path)
+
+    monkeypatch.setattr(engine._Unranker, "tree", tree)
+    r = parse(parse_grammar(CYCLE_AT_EVERY_LEVEL), tokenize("x x y"))
+    assert r.trees(2) == ["(r0 (r1 x (r1 x (r2 y))))"]
 
 
 def test_no_readings_at_syntax_depth(toy_grammar):

@@ -409,6 +409,15 @@ MINIMAL_GRAMMARS = [
     pytest.param(
         "feature e f\nstart x()\nrule r : x() -> e(f=u) e(f=v)\nrule re : e() ->\n", "",
         ["(r (re) (re))"], id="one-empty-edge-in-two-daughter-positions"),
+    # the same, as two trailing daughters after a word
+    pytest.param(
+        "feature e f\nstart x()\nrule r : x() -> p() e(f=u) e(f=v)\nrule re : e() ->\n"
+        "lex w : p()\n", "w", ["(r w (re) (re))"],
+        id="one-empty-edge-in-two-trailing-positions"),
+    pytest.param(
+        "start s()\nrule r : s() -> p() q() e() e()\nrule re : e() ->\nlex w : p()\n"
+        "lex v : q()\n", "w v", ["(r w v (re) (re))"],
+        id="tail-and-trailing-daughters"),
 ]
 
 
