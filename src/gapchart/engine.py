@@ -39,13 +39,17 @@ A reduced phrase is licensed when its category is context-independent,
 or when it can begin a phrase anticipated at its start position (every
 category can begin itself, so directly predicted phrases are covered).
 
-Grammar rules and prediction entries are unified as stored, against
-chart categories that never contain a rule's variables. Only a match
-that succeeds is copied: the new category or predicted sequence is
-resolved and then renamed once, so the chart holds renamed copies. A
-ground category (one without variables: a feature-less rule head, a
-lexical category, the start category) is its own copy and goes into
-the chart shared, as it is; holding no variable, it shares none.
+The open daughters of grammar rules and prediction entries are unified
+as stored, against chart categories that never contain a rule's
+variables. A closed daughter, compiled to its bare backbone
+(`Rule.compiled_rhs`), matches every edge of its backbone and binds
+nothing, so it is not unified at all. Only a match that succeeds is
+copied: the new category or predicted sequence is resolved and then
+renamed once, so the chart holds renamed copies. A ground category
+(one without variables: a feature-less rule head, a lexical category,
+the start category) or a ground predicted sequence is its own copy and
+goes into the chart shared, as it is; holding no variable, it shares
+none.
 
 Each use of an edge in one derivation gets its own variables: an edge
 that fills a second daughter position (only an empty edge can) is
@@ -398,11 +402,9 @@ class _Parser:
         memo[key] = got
         return (None,) if got is None else [r.renamed() for r in got]
 
-    def _combine(self, rule: Rule, daughters: tuple[Edge, ...]) -> Sequence[Reading | None]:
-        """The readings of a phrase: one that is None at `syn`, and none
-        for a veto."""
-        if self.depth == SYN:
-            return (None,)
+    def _combine(self, rule: Rule, daughters: tuple[Edge, ...]) -> Sequence[Reading]:
+        """The readings of a phrase above `syn` (the caller knows that
+        `syn` has one, None); none for a veto."""
         # an edge that fills two daughter positions (an empty edge can)
         # gets fresh variables for each use after the first
         dreadings = [d.reading.renamed() if d in daughters[:i] else d.reading
@@ -449,7 +451,8 @@ class _Parser:
                     continue
                 head = refresh(rule.head, {})
                 derivation = Derivation("empty", rule=rule)
-                for reading in self._combine(rule, ()):
+                readings = (None,) if self.depth == SYN else self._combine(rule, ())
+                for reading in readings:
                     edge = self._add(pos, pos, head, derivation, reading)
                     if edge is not None:
                         changed = True
@@ -470,29 +473,36 @@ class _Parser:
                 self._advance(seq, e)
 
     def _advance(self, seq: tuple[FeatureTerm, ...], e: Edge) -> None:
-        """Predict the rest of the non-empty `seq` at `e.end` if `e` can
-        be its first element."""
-        binds = unify_values(seq[0], e.cat, {})
-        if binds is not None and len(seq) > 1:
-            self._predict(e.end, tuple([resolve(t, binds) for t in seq[1:]]))
+        """Predict the rest of `seq` at `e.end` if there is a rest and `e`
+        can be the first element; backbones are compared before anything
+        is unified."""
+        if len(seq) > 1 and seq[0].backbone == e.backbone:
+            binds = unify_values(seq[0], e.cat, {})
+            if binds is not None:
+                self._predict(e.end, tuple([resolve(t, binds) for t in seq[1:]]))
 
     def _make_new_predictions(self, e: Edge) -> None:
         # advance sequences this edge begins
         for seq in list(self.chart.predictions[e.start]):
-            if seq:
-                self._advance(seq, e)
-        # fire compiled first-daughter entries
+            self._advance(seq, e)
+        # fire compiled first-daughter entries; a bare trigger matches
+        # every edge of its backbone, and a ground sequence is its own copy
         for entry in self.tables.entries.get(e.backbone, ()):
             if not entry.head_ci and not self._licensed(
                 entry.head.backbone, e.start
             ):
                 continue
-            binds = unify_values(entry.trigger, e.cat, {})
-            if binds is None:
-                continue
-            mapping: dict = {}
-            self._predict(e.end, tuple(refresh(resolve(t, binds), mapping)
-                                       for t in entry.seq))
+            binds: dict = {}
+            if entry.trigger.feats:
+                binds = unify_values(entry.trigger, e.cat, binds)
+                if binds is None:
+                    continue
+            if entry.ground:
+                self._predict(e.end, entry.seq)
+            else:
+                mapping: dict = {}
+                self._predict(e.end, tuple(refresh(resolve(t, binds), mapping)
+                                           for t in entry.seq))
 
     def _licensed(self, backbone: str, pos: int) -> bool:
         if backbone not in self.tables.cd:
@@ -505,30 +515,45 @@ class _Parser:
     def _find_new_reductions(self, e: Edge) -> Iterator[Edge]:
         """Yield each new edge that `e` completes as soon as it is in the
         chart, with `e` as the daughter a reduction trigger names and the
-        other daughters matched by `_match`."""
+        other daughters matched by `_match`. A bare daughter (a closed
+        one) matches every edge of its backbone and binds nothing, so it
+        is not unified; a ground head is its own copy, and a
+        context-independent one needs no licence."""
         end = e.end
-        for rule, daughter, tail, trailing in self.tables.reduction_triggers.get(e.backbone, ()):
-            if trailing and not self.chart.empty_edges_at(end):
+        chart = self.chart
+        add_edge = chart.add_edge
+        syn = self.depth == SYN
+        for rule, daughter, tail, trailing, head_ci in \
+                self.tables.reduction_triggers.get(e.backbone, ()):
+            if trailing and not chart.empty_edges_at(end):
                 continue
-            binds = unify_values(daughter, e.cat, {})
-            if binds is None:
-                continue
+            binds: dict = {}
+            if daughter.feats:
+                binds = unify_values(daughter, e.cat, binds)
+                if binds is None:
+                    continue
             matches = (self._match(trailing, tail, binds, (e,)) if trailing or tail
                        else ((binds, (e,)),))
+            head = rule.head
             for binds, daughters in matches:
                 span_start = daughters[0].start
-                if not self._licensed(rule.head.backbone, span_start):
+                if not head_ci and not self._licensed(head.backbone, span_start):
                     continue
                 # the rename keeps the rule's own variables out of the chart
-                head_cat = refresh(resolve(rule.head, binds), {})
-                readings = self._combine(rule, daughters)
-                if readings == []:
-                    self._say("REJECT", "veto", rule.name, span_start, end)
-                    continue
+                head_cat = head if head.ground else refresh(resolve(head, binds), {})
+                if syn:
+                    readings = (None,)
+                else:
+                    readings = self._combine(rule, daughters)
+                    if not readings:
+                        self._say("REJECT", "veto", rule.name, span_start, end)
+                        continue
                 derivation = Derivation("rule", rule=rule, daughters=daughters)
                 for reading in readings:
-                    edge = self._add(span_start, end, head_cat, derivation, reading)
-                    if edge is not None:
+                    edge, outcome = add_edge(span_start, end, head_cat, derivation, reading)
+                    if outcome == "new":
+                        if self.trace is not None:
+                            self._say("ADD-EDGE", edge.id, span_start, end, canonical(head_cat))
                         yield edge
 
     def _match(self, trailing: tuple[FeatureTerm, ...], tail: tuple[FeatureTerm, ...],
@@ -539,9 +564,11 @@ class _Parser:
         then the tail right to left, each by an edge ending at the left
         end. Yields the bindings and all the daughters of each match, the
         last daughter's in place. The edge lists are live, so a search
-        paused at a yield sees the edges added meanwhile. A daughter
-        matched again (only an empty edge can be) is matched under fresh
-        variables, so that each use binds its own."""
+        paused at a yield sees the edges added meanwhile. A bare daughter
+        (a closed one) matches every edge of its backbone without
+        unifying. An open daughter that matches an edge again (only an
+        empty edge can be matched twice) is unified with a renamed copy,
+        so that each use binds its own variables."""
         right = bool(trailing)
         if right:
             term, trailing = trailing[0], trailing[1:]
@@ -550,13 +577,17 @@ class _Parser:
             term, tail = tail[-1], tail[:-1]
             at = matched[0].start
         more = trailing or tail
+        backbone, bare = term.backbone, not term.feats
         for edge in self.chart.edges_ending_at(at):
-            if edge.backbone != term.backbone or right and edge.start != at:
+            if edge.backbone != backbone or right and edge.start != at:
                 continue
-            cat = refresh(edge.cat, {}) if edge in matched else edge.cat
-            b = unify_values(term, cat, binds)
-            if b is None:
-                continue
+            if bare:
+                b = binds
+            else:
+                cat = refresh(edge.cat, {}) if edge in matched else edge.cat
+                b = unify_values(term, cat, binds)
+                if b is None:
+                    continue
             daughters = (*matched, edge) if right else (edge, *matched)
             if more:
                 yield from self._match(trailing, tail, b, daughters)

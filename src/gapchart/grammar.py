@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 
 from .lf import LFApp, Placeholder, SAtom, SFunc, lf_atoms
-from .terms import FeatureTerm, Restrictor, Var, leaves
+from .terms import FeatureTerm, Node, Restrictor, Var, leaves
 
 _TOKEN = re.compile(
     r"'[^']*'|->|-?\d+(?:\.\d+)?|[()\[\],;:=]|[A-Za-z_][A-Za-z0-9_.']*|\S"
@@ -47,10 +47,48 @@ class GrammarError(Exception):
 
 @dataclass(frozen=True)
 class Rule:
+    """A syntax rule. `compiled_rhs` holds its daughters as compiled
+    tables match them, an open daughter as written and a closed one as
+    its bare backbone; it is set at construction, so it is worked out
+    once per rule, however many tables are compiled from it.
+
+    A daughter is closed when each of its feature values is a variable
+    that occurs nowhere else in the rule (head and every daughter,
+    nested values included). Chart categories never hold a rule's
+    variables, so a closed daughter unifies with every edge of its
+    backbone and binds nothing another daughter or the head reads: its
+    backbone is all it decides."""
+
     name: str
     head: FeatureTerm
     rhs: tuple[FeatureTerm, ...]
     line: int = 0
+    compiled_rhs: tuple[FeatureTerm, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "compiled_rhs", _compile_rhs(self.head, self.rhs))
+
+
+def _compile_rhs(head: FeatureTerm, rhs: tuple[FeatureTerm, ...]) -> tuple[FeatureTerm, ...]:
+    # every value in the rule, one entry per occurrence; appending a
+    # node's children while looping takes in the nested values too
+    values = [v for d in rhs for _, v in d.feats]
+    if not values:
+        return rhs
+    values += [v for _, v in head.feats]
+    for v in values:
+        if isinstance(v, Node):
+            values += v.children()
+    compiled = []
+    for d in rhs:
+        if d.feats:
+            for _, v in d.feats:
+                if type(v) is not Var or values.count(v) != 1:
+                    break
+            else:
+                d = FeatureTerm._of_sorted(d.backbone, ())
+        compiled.append(d)
+    return tuple(compiled)
 
 
 @dataclass(frozen=True)
@@ -72,7 +110,9 @@ class SemRule:
 
 @dataclass
 class Grammar:
-    """A loaded grammar. It is not changed after its first parse:
+    """A loaded grammar. It is not changed once it has tables:
+    `analysis` keeps what its first compile works out from the grammar
+    alone (`tables.GrammarAnalysis`), for the tables of every strategy;
     `compiled` caches its `CompiledTables` by strategy, compiled on the
     first parse made without `tables=`, and the semantic memo on them
     serves every later parse. So one grammar serves one thread at a
@@ -87,6 +127,7 @@ class Grammar:
     sem_rules: dict[str, list[SemRule]] = field(default_factory=dict)
     sort_table: dict[str, tuple[object, ...]] = field(default_factory=dict)
     dispreferred: dict[str, float] = field(default_factory=dict)
+    analysis: object = field(default=None, init=False, repr=False, compare=False)
     compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property

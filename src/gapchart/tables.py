@@ -7,11 +7,17 @@ only where predicted (or where they can begin a predicted phrase).
 context-dependent, and `llc` uses the grammar's declared set.
 
 Compilation derives the nullable set, the possible-left-corner relation
-(reflexive-transitive), first-word sets for one-word lookahead, the
-prediction entries that fire when a first daughter completes, and the
-reduction trigger index. It also reports closure violations: the
-context-dependent set must be closed under possible-left-corner-of, or
-predictions cannot license every phrase a complete parse needs.
+(reflexive-transitive) and first-word sets for one-word lookahead, which
+the grammar alone decides and its tables of every strategy share
+(`GrammarAnalysis`). Per strategy it derives the prediction entries that
+fire when a first daughter completes and the reduction trigger index.
+Triggers and entries hold what a rule alone decides: its daughters as
+compiled (`Rule.compiled_rhs`, where a closed daughter is its bare
+backbone), whether its head is context-independent, and whether a
+predicted sequence is ground. Compilation also reports closure
+violations: the context-dependent set must be closed under
+possible-left-corner-of, or predictions cannot license every phrase a
+complete parse needs.
 """
 
 from __future__ import annotations
@@ -25,27 +31,46 @@ from .terms import FeatureTerm
 STRATEGIES = ("bu", "lc", "llc")
 
 
-@dataclass(frozen=True)
-class PredictionEntry:
+class PredictionEntry(NamedTuple):
     """One compiled prediction: when an edge matches `trigger`, the rule's
-    remaining daughters up to a context-dependent one may be predicted."""
+    remaining daughters up to a context-dependent one may be predicted.
+    The trigger is the rule's first daughter as compiled (a closed one is
+    its bare backbone, see `Rule.compiled_rhs`); `ground` says the
+    sequence holds no variable, so it is predicted as it is stored."""
 
     rule: Rule
     trigger: FeatureTerm
     head: FeatureTerm
     head_ci: bool
     seq: tuple[FeatureTerm, ...]
+    ground: bool
 
 
 class ReductionTrigger(NamedTuple):
     """One way a new edge can complete a rule: as the daughter
     `rule.rhs[len(tail)]`, after the daughters `tail` and before the
-    nullable daughters `trailing` (matched by empty edges in place)."""
+    nullable daughters `trailing` (matched by empty edges in place).
+    The daughters are the rule's as compiled: a closed one is its bare
+    backbone (see `Rule.compiled_rhs`). `head_ci` says the rule's head
+    is context-independent, so every match is licensed."""
 
     rule: Rule
     daughter: FeatureTerm
     tail: tuple[FeatureTerm, ...]
     trailing: tuple[FeatureTerm, ...]
+    head_ci: bool
+
+
+class GrammarAnalysis(NamedTuple):
+    """What a grammar alone decides, under every strategy. Worked out on
+    the grammar's first compile and kept as `Grammar.analysis`, so its
+    tables of every strategy share it."""
+
+    backbones: frozenset[str]
+    nullable: frozenset[str]
+    left_corner: dict[str, frozenset[str]]
+    first_word: dict[str, frozenset[str]]
+    empty_rules: tuple[Rule, ...]
 
 
 @dataclass
@@ -152,7 +177,7 @@ def _entries(grammar: Grammar, cd: frozenset[str]) -> dict[str, tuple[Prediction
     for rule in grammar.rules:
         if len(rule.rhs) < 2:
             continue
-        trigger = rule.rhs[0]
+        trigger = rule.compiled_rhs[0]
         for j in range(1, len(rule.rhs)):
             if rule.rhs[j].backbone not in cd:
                 continue
@@ -163,40 +188,54 @@ def _entries(grammar: Grammar, cd: frozenset[str]) -> dict[str, tuple[Prediction
                 head=rule.head,
                 head_ci=rule.head.backbone not in cd,
                 seq=seq,
+                ground=all(t.ground for t in seq),
             )
             out.setdefault(trigger.backbone, []).append(entry)
     return {b: tuple(es) for b, es in out.items()}
 
 
 def _reduction_triggers(
-    grammar: Grammar, nullable: frozenset[str]
+    grammar: Grammar, nullable: frozenset[str], cd: frozenset[str]
 ) -> dict[str, tuple[ReductionTrigger, ...]]:
     # a new edge can complete a rule from any daughter position whose
     # following daughters are all nullable (matched by empty edges in place)
     out: dict[str, list[ReductionTrigger]] = {}
     for rule in grammar.rules:
-        rhs = rule.rhs
+        rhs = rule.compiled_rhs
         n = len(rhs)
+        head_ci = rule.head.backbone not in cd
         for pos in range(n - 1, -1, -1):
             if pos < n - 1 and rhs[pos + 1].backbone not in nullable:
                 break
-            trigger = ReductionTrigger(rule, rhs[pos], rhs[:pos], rhs[pos + 1:])
+            trigger = ReductionTrigger(rule, rhs[pos], rhs[:pos], rhs[pos + 1:], head_ci)
             out.setdefault(rhs[pos].backbone, []).append(trigger)
     return {b: tuple(ts) for b, ts in out.items()}
+
+
+def _analysis(grammar: Grammar) -> GrammarAnalysis:
+    if grammar.analysis is None:
+        backbones = _all_backbones(grammar)
+        nullable = _nullable(grammar)
+        grammar.analysis = GrammarAnalysis(
+            backbones=backbones,
+            nullable=nullable,
+            left_corner=_left_corner(grammar, backbones, nullable),
+            first_word=_first_word(grammar, nullable),
+            empty_rules=tuple(r for r in grammar.rules if not r.rhs),
+        )
+    return grammar.analysis
 
 
 def compile_tables(grammar: Grammar, strategy: str) -> CompiledTables:
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    backbones = _all_backbones(grammar)
+    backbones, nullable, left_corner, first_word, empty_rules = _analysis(grammar)
     if strategy == "bu":
         cd: frozenset[str] = frozenset()
     elif strategy == "lc":
         cd = backbones
     else:
         cd = frozenset(grammar.cd)
-    nullable = _nullable(grammar)
-    left_corner = _left_corner(grammar, backbones, nullable)
     violations = sorted(
         (x, y)
         for x in cd
@@ -209,9 +248,9 @@ def compile_tables(grammar: Grammar, strategy: str) -> CompiledTables:
         backbones=backbones,
         nullable=nullable,
         left_corner=left_corner,
-        first_word=_first_word(grammar, nullable),
+        first_word=first_word,
         entries=_entries(grammar, cd),
-        reduction_triggers=_reduction_triggers(grammar, nullable),
-        empty_rules=tuple(r for r in grammar.rules if not r.rhs),
+        reduction_triggers=_reduction_triggers(grammar, nullable, cd),
+        empty_rules=empty_rules,
         closure_violations=violations,
     )

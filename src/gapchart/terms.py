@@ -16,7 +16,7 @@ is an atom or a ground node. A ground node is its own copy: `resolve`
 and `refresh` return it as it is, `occurs` finds nothing in it,
 `unify_values` accepts an equal ground pair without walking its
 children, and `canonical` renders it once and keeps the text on the
-node.
+node. A feature term also keeps its hash from construction.
 """
 
 from __future__ import annotations
@@ -115,12 +115,21 @@ class FeatureTerm(Node):
     feats: tuple[tuple[str, object], ...] = ()
     # no variable anywhere in the term; set once, at construction
     ground: bool = field(default=False, compare=False)
+    # the hash of (backbone, feats); set once, at construction, since the
+    # chart looks a ground category up by the term itself
+    _hash: int = field(default=0, compare=False)
 
     def __init__(self, backbone: str, feats: Iterable[tuple[str, object]] = ()):
-        feats = tuple(sorted(feats, key=_by_name))
+        feats = tuple(feats)
+        if len(feats) > 1:
+            feats = tuple(sorted(feats, key=_by_name))
         _set(self, "backbone", backbone)
         _set(self, "feats", feats)
         _set(self, "ground", _ground_feats(feats))
+        _set(self, "_hash", hash((backbone, feats)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def get(self, name: str) -> object | None:
         for fname, fval in self.feats:
@@ -141,6 +150,7 @@ class FeatureTerm(Node):
         _set(term, "backbone", backbone)
         _set(term, "feats", feats)
         _set(term, "ground", _ground_feats(feats))
+        _set(term, "_hash", hash((backbone, feats)))
         return term
 
     def map(self, fn, arg) -> "FeatureTerm":

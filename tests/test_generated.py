@@ -370,7 +370,7 @@ REGRESSION_SEEDS = (49, 66, 82, 114, 115, 139, 145, 151, 158, 177, 1001, 1040,
                     1042, 1046, 1055, 1070, 1091, 1150, 1161, 1167, 1191, 1218,
                     1221, 1250, 1285, 1289)
 LOST_TO_EDGE_ORDER = pytest.mark.xfail(reason=(
-    "ROADMAP item 2: under llc and lc an edge processed before the prediction "
+    "ROADMAP item 1: under llc and lc an edge processed before the prediction "
     "that licenses its parent is never reduced again, so (r2 (r4)) is lost"))
 
 

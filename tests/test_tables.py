@@ -1,12 +1,18 @@
-"""Compile-time analysis tables, cross-checked against naive oracles."""
+"""Compile-time analysis tables, cross-checked against naive oracles,
+and the compiled daughters checked against tables that compile none."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from gapchart.data import read_text
+from gapchart.engine import parse, tokenize
 from gapchart.grammar import parse_grammar
+from gapchart.semantics import DEPTHS, SEM, SYN
 from gapchart.tables import STRATEGIES, compile_tables
-from gapchart.terms import canonical_seq
+from gapchart.terms import FeatureTerm, canonical_seq
 
 from oracles import derivation_nullable, matrix_left_corner, recursive_first_words
 
@@ -164,3 +170,130 @@ def test_can_begin_uses_closure(toy_grammar):
     assert "s_gap" in tables.left_corner["np"]
     assert "s" in tables.left_corner["s"]          # reflexive
     assert "np" not in tables.left_corner["v"]
+
+
+def test_tables_of_every_strategy_share_the_grammar_analysis():
+    g = parse_grammar(read_text("toy.gram"))
+    assert g.analysis is None
+    bu, lc = compile_tables(g, "bu"), compile_tables(g, "lc")
+    assert bu.left_corner is lc.left_corner and bu.first_word is lc.first_word
+    assert g.analysis == (lc.backbones, lc.nullable, lc.left_corner, lc.first_word,
+                          lc.empty_rules)
+
+
+# -- compiled daughters ----------------------------------------------------
+
+
+def test_closed_daughters_of_the_toy_grammar_are_bare(toy_grammar):
+    rules = {r.name: r for r in toy_grammar.rules}
+    # r1 : s(agr=A) -> np(agr=A) vp(agr=A) shares A, so both are open
+    assert rules["r1"].compiled_rhs == rules["r1"].rhs
+    # r5 : s_gap() -> np() vp_gap(), where np() is normalized to np(agr=_)
+    r5 = rules["r5"]
+    assert r5.rhs[0].feature_names() == ("agr",)
+    assert r5.compiled_rhs == (FeatureTerm("np"), r5.rhs[1])
+    # r8 : vp(agr=A) -> v(agr=A) np() leaves only np() closed
+    r8 = rules["r8"]
+    assert r8.compiled_rhs == (r8.rhs[0], FeatureTerm("np"))
+
+
+def test_what_leaves_a_daughter_open():
+    g = parse_grammar(
+        "feature a f\n"
+        "feature b f g\n"
+        "feature c f\n"
+        "start a()\n"
+        "rule atom : a() -> b(f=x)\n"
+        "rule nested : a() -> b(f=c(f=Y))\n"
+        "rule twice : a() -> b(f=X, g=X)\n"
+        "rule shared : a() -> b(f=X) c(f=X)\n"
+        "rule head_only : a(f=X) -> b()\n"
+        "rule free : a() -> b(f=X, g=_) c(f=Y)\n"
+        "lex w : b()\n")
+    rules = {r.name: r for r in g.rules}
+    # an atom value, a nested term or a variable used twice leaves it open
+    for name in ("atom", "nested", "twice", "shared"):
+        assert rules[name].compiled_rhs == rules[name].rhs, name
+    # a variable only the head uses: the head is not ground, b() is closed
+    head_only = rules["head_only"]
+    assert not head_only.head.ground
+    assert head_only.compiled_rhs == (FeatureTerm("b"),)
+    assert rules["free"].compiled_rhs == (FeatureTerm("b"), FeatureTerm("c"))
+
+
+def test_triggers_and_entries_hold_the_compiled_daughters(toy_grammar):
+    for strategy in STRATEGIES:
+        tables = compile_tables(toy_grammar, strategy)
+        for backbone, triggers in tables.reduction_triggers.items():
+            for t in triggers:
+                rhs, k = t.rule.compiled_rhs, len(t.tail)
+                assert (t.daughter, t.tail, t.trailing) == (rhs[k], rhs[:k], rhs[k + 1:])
+                assert t.daughter.backbone == backbone
+                assert t.head_ci == (t.rule.head.backbone not in tables.cd)
+        for entries in tables.entries.values():
+            for e in entries:
+                assert e.trigger == e.rule.compiled_rhs[0]
+                assert e.ground == all(term.ground for term in e.seq)
+    (r5,) = [e for es in compile_tables(toy_grammar, "llc").entries.values()
+             for e in es if e.rule.name == "r5"]
+    # a bare trigger and a ground sequence: predicted as stored
+    assert r5.trigger == FeatureTerm("np") and r5.ground
+
+
+def _uncompiled(tables):
+    """The tables with nothing decided at compile time: every daughter
+    open, no predicted sequence known to be ground and no head known to
+    be context-independent."""
+
+    def trigger(t):
+        rhs, k = t.rule.rhs, len(t.tail)
+        return t._replace(daughter=rhs[k], tail=rhs[:k], trailing=rhs[k + 1:],
+                          head_ci=False)
+
+    return dataclasses.replace(
+        tables,
+        entries={b: tuple(e._replace(trigger=e.rule.rhs[0], head_ci=False, ground=False)
+                          for e in es)
+                 for b, es in tables.entries.items()},
+        reduction_triggers={b: tuple(map(trigger, ts))
+                            for b, ts in tables.reduction_triggers.items()},
+    )
+
+
+def _corpus_lines(name):
+    lines = [line.strip() for line in read_text(name).splitlines()]
+    return [line for line in lines if line and not line.startswith("#")]
+
+
+# each bundled grammar with the bundled inputs written for it
+CORPORA = {
+    "toy.gram": _corpus_lines("toy_corpus.txt"),
+    "sorts.gram": _corpus_lines("sorts_corpus.txt"),
+    "ambig.gram": _corpus_lines("ambig_corpus.txt"),
+    "fragments.gram": [line.split("\t")[3] for line in _corpus_lines("nbest.tsv")],
+}
+
+
+def _snapshot(grammar, words, strategy, depth, tables):
+    lines: list[str] = []
+    result = parse(grammar, words, strategy=strategy, depth=depth, robust=True,
+                   trace=lines.append, tables=tables)
+    return (lines, result.chart.dump(), result.trees(7),
+            [r.render for r in result.complete_readings()])
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_compiled_tables_parse_exactly_as_uncompiled_ones(name, strategy):
+    grammar = parse_grammar(read_text(name))
+    tables = compile_tables(grammar, strategy)
+    plain = _uncompiled(tables)
+    if name == "toy.gram":
+        # the toy grammar has closed daughters, so the two tables differ
+        assert plain.reduction_triggers != tables.reduction_triggers
+    depths = DEPTHS if grammar.has_sorts else (SYN, SEM)
+    for depth in depths:
+        for utt in CORPORA[name]:
+            words = tokenize(utt)
+            assert _snapshot(grammar, words, strategy, depth, tables) == \
+                _snapshot(grammar, words, strategy, depth, plain), (depth, utt)

@@ -303,6 +303,27 @@ def test_a_ground_term_is_its_own_copy():
         assert occurs(v, t, binds) is False
 
 
+def test_equal_terms_hash_alike_however_built():
+    # a feature term keeps its hash from construction, so every way of
+    # building one must give equal terms equal hashes
+    rng = random.Random(13)
+    keep_all = Restrictor.from_paths([(b, (f,)) for b in BACKBONES for f in FEATURES])
+    keep_f = Restrictor.from_paths([(b, ("f",)) for b in BACKBONES])
+    for _ in range(300):
+        t = random_term(rng, 3)
+        only_f = FeatureTerm(t.backbone, [(n, v) for n, v in t.feats if n == "f"])
+        pairs = [
+            (t, FeatureTerm(t.backbone, reversed(t.feats))),
+            (t, FeatureTerm._of_sorted(t.backbone, t.feats)),
+            (t, t.map(lambda v, _: v, None)),
+            (t, keep_all.restrict(t)),
+            (only_f, keep_f.restrict(t)),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b), (a, b)
+            assert {a: "found"}[b] == "found"
+
+
 def test_unify_of_equal_ground_terms_returns_the_given_binds():
     t = FeatureTerm("np", (("agr", "sg"), ("sem", FeatureTerm("c", (("k", "v"),)))))
     same = FeatureTerm("np", (("sem", FeatureTerm("c", (("k", "v"),))), ("agr", "sg")))

@@ -9,7 +9,8 @@ spans) moves a count here. After an intended move, rewrite the file with
 
     PYTHONPATH=src python tests/test_work_counts.py
 
-and say in CHANGES.md which counts moved and why.
+which prints each count it moves as `workload name old -> new`, and say
+in CHANGES.md which counts moved and why.
 """
 
 from __future__ import annotations
@@ -46,5 +47,11 @@ def test_work_counts_match_golden(workload):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({w: work_counts(w) for w in WORKLOADS}, indent=1) + "\n",
-                      encoding="utf-8")
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    new = {w: work_counts(w) for w in WORKLOADS}
+    for w, counts in new.items():
+        for name, value in counts.items():
+            before = old.get(w, {}).get(name)
+            if before != value:
+                print(f"{w} {name} {before} -> {value}")
+    GOLDEN.write_text(json.dumps(new, indent=1) + "\n", encoding="utf-8")
