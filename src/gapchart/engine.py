@@ -520,12 +520,10 @@ class _Parser:
         is not unified; a ground head is its own copy, and a
         context-independent one needs no licence."""
         end = e.end
-        chart = self.chart
-        add_edge = chart.add_edge
         syn = self.depth == SYN
         for rule, daughter, tail, trailing, head_ci in \
                 self.tables.reduction_triggers.get(e.backbone, ()):
-            if trailing and not chart.empty_edges_at(end):
+            if trailing and not self.chart.empty_edges_at(end):
                 continue
             binds: dict = {}
             if daughter.feats:
@@ -550,10 +548,8 @@ class _Parser:
                         continue
                 derivation = Derivation("rule", rule=rule, daughters=daughters)
                 for reading in readings:
-                    edge, outcome = add_edge(span_start, end, head_cat, derivation, reading)
-                    if outcome == "new":
-                        if self.trace is not None:
-                            self._say("ADD-EDGE", edge.id, span_start, end, canonical(head_cat))
+                    edge = self._add(span_start, end, head_cat, derivation, reading)
+                    if edge is not None:
                         yield edge
 
     def _match(self, trailing: tuple[FeatureTerm, ...], tail: tuple[FeatureTerm, ...],

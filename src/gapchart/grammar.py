@@ -110,9 +110,7 @@ class SemRule:
 
 @dataclass
 class Grammar:
-    """A loaded grammar. It is not changed once it has tables:
-    `analysis` keeps what its first compile works out from the grammar
-    alone (`tables.GrammarAnalysis`), for the tables of every strategy;
+    """A loaded grammar. It is not changed after its first parse:
     `compiled` caches its `CompiledTables` by strategy, compiled on the
     first parse made without `tables=`, and the semantic memo on them
     serves every later parse. So one grammar serves one thread at a
@@ -127,7 +125,6 @@ class Grammar:
     sem_rules: dict[str, list[SemRule]] = field(default_factory=dict)
     sort_table: dict[str, tuple[object, ...]] = field(default_factory=dict)
     dispreferred: dict[str, float] = field(default_factory=dict)
-    analysis: object = field(default=None, init=False, repr=False, compare=False)
     compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property

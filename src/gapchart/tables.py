@@ -7,15 +7,13 @@ only where predicted (or where they can begin a predicted phrase).
 context-dependent, and `llc` uses the grammar's declared set.
 
 Compilation derives the nullable set, the possible-left-corner relation
-(reflexive-transitive) and first-word sets for one-word lookahead, which
-the grammar alone decides and its tables of every strategy share
-(`GrammarAnalysis`). Per strategy it derives the prediction entries that
-fire when a first daughter completes and the reduction trigger index.
-Triggers and entries hold what a rule alone decides: its daughters as
-compiled (`Rule.compiled_rhs`, where a closed daughter is its bare
-backbone), whether its head is context-independent, and whether a
-predicted sequence is ground. Compilation also reports closure
-violations: the context-dependent set must be closed under
+(reflexive-transitive), first-word sets for one-word lookahead, the
+prediction entries that fire when a first daughter completes, and the
+reduction trigger index. Triggers and entries hold what a rule alone
+decides: its daughters as compiled (`Rule.compiled_rhs`, where a closed
+daughter is its bare backbone), whether its head is context-independent,
+and whether a predicted sequence is ground. Compilation also reports
+closure violations: the context-dependent set must be closed under
 possible-left-corner-of, or predictions cannot license every phrase a
 complete parse needs.
 """
@@ -59,18 +57,6 @@ class ReductionTrigger(NamedTuple):
     tail: tuple[FeatureTerm, ...]
     trailing: tuple[FeatureTerm, ...]
     head_ci: bool
-
-
-class GrammarAnalysis(NamedTuple):
-    """What a grammar alone decides, under every strategy. Worked out on
-    the grammar's first compile and kept as `Grammar.analysis`, so its
-    tables of every strategy share it."""
-
-    backbones: frozenset[str]
-    nullable: frozenset[str]
-    left_corner: dict[str, frozenset[str]]
-    first_word: dict[str, frozenset[str]]
-    empty_rules: tuple[Rule, ...]
 
 
 @dataclass
@@ -212,30 +198,18 @@ def _reduction_triggers(
     return {b: tuple(ts) for b, ts in out.items()}
 
 
-def _analysis(grammar: Grammar) -> GrammarAnalysis:
-    if grammar.analysis is None:
-        backbones = _all_backbones(grammar)
-        nullable = _nullable(grammar)
-        grammar.analysis = GrammarAnalysis(
-            backbones=backbones,
-            nullable=nullable,
-            left_corner=_left_corner(grammar, backbones, nullable),
-            first_word=_first_word(grammar, nullable),
-            empty_rules=tuple(r for r in grammar.rules if not r.rhs),
-        )
-    return grammar.analysis
-
-
 def compile_tables(grammar: Grammar, strategy: str) -> CompiledTables:
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    backbones, nullable, left_corner, first_word, empty_rules = _analysis(grammar)
+    backbones = _all_backbones(grammar)
     if strategy == "bu":
         cd: frozenset[str] = frozenset()
     elif strategy == "lc":
         cd = backbones
     else:
         cd = frozenset(grammar.cd)
+    nullable = _nullable(grammar)
+    left_corner = _left_corner(grammar, backbones, nullable)
     violations = sorted(
         (x, y)
         for x in cd
@@ -248,9 +222,9 @@ def compile_tables(grammar: Grammar, strategy: str) -> CompiledTables:
         backbones=backbones,
         nullable=nullable,
         left_corner=left_corner,
-        first_word=first_word,
+        first_word=_first_word(grammar, nullable),
         entries=_entries(grammar, cd),
         reduction_triggers=_reduction_triggers(grammar, nullable, cd),
-        empty_rules=empty_rules,
+        empty_rules=tuple(r for r in grammar.rules if not r.rhs),
         closure_violations=violations,
     )

@@ -172,15 +172,6 @@ def test_can_begin_uses_closure(toy_grammar):
     assert "np" not in tables.left_corner["v"]
 
 
-def test_tables_of_every_strategy_share_the_grammar_analysis():
-    g = parse_grammar(read_text("toy.gram"))
-    assert g.analysis is None
-    bu, lc = compile_tables(g, "bu"), compile_tables(g, "lc")
-    assert bu.left_corner is lc.left_corner and bu.first_word is lc.first_word
-    assert g.analysis == (lc.backbones, lc.nullable, lc.left_corner, lc.first_word,
-                          lc.empty_rules)
-
-
 # -- compiled daughters ----------------------------------------------------
 
 
