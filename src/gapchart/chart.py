@@ -207,16 +207,23 @@ class Chart:
         # edges only ever go in at the growing end of a chart, so a
         # chart's groups need not hold the edges it takes over
         self._by_group: dict[tuple, list[Edge]] = {}
-        self.edges_created = 0
-        self.preds_created = 0
         for i in range(resume_at):
             self.predictions[i] = base.predictions[i]
             self._first_backbones[i] = base._first_backbones[i]
             self._by_end[i] = base._by_end[i]
-            self.edges_created += len(self._by_end[i])
-            self.preds_created += len(self.predictions[i])
         # ids are consecutive in order of end position
-        self.edges: list[Edge] = [] if base is None else base.edges[:self.edges_created]
+        taken = sum(len(self._by_end[i]) for i in range(resume_at))
+        self.edges: list[Edge] = [] if base is None else base.edges[:taken]
+
+    @property
+    def edges_created(self) -> int:
+        """The chart's edges, taken-over ones included."""
+        return len(self.edges)
+
+    @property
+    def preds_created(self) -> int:
+        """The chart's predicted sequences, taken-over ones included."""
+        return sum(len(seqs) for seqs in self.predictions.values())
 
     # -- edges ---------------------------------------------------------
 
@@ -242,7 +249,6 @@ class Chart:
         self.edges.append(edge)
         self._by_end[end].append(edge)
         peers.append(edge)
-        self.edges_created += 1
         return edge, "new"
 
     def edges_ending_at(self, end: int) -> list[Edge]:
@@ -266,7 +272,6 @@ class Chart:
         self.predictions[pos].append(seq)
         if seq:
             self._first_backbones[pos].add(seq[0].backbone)
-        self.preds_created += 1
         return "ok"
 
     def _lookahead_ok(self, pos: int, seq: tuple[FeatureTerm, ...]) -> bool:

@@ -156,21 +156,20 @@ class ParseResult:
             return common
         return common + 1
 
-    def complete_edges(self) -> list[Edge]:
-        """Edges spanning the whole input whose category fits the start
-        category."""
+    def fits_start(self, edge: Edge) -> bool:
+        """Whether the edge's category fits the start category: it has
+        the start's backbone and unifies with the start as stored (a
+        chart category never holds a grammar variable, so no copy is
+        needed)."""
         start = self.grammar.start
+        return (edge.backbone == start.backbone
+                and unify_values(start, edge.cat, {}) is not None)
+
+    def complete_edges(self) -> list[Edge]:
+        """Edges spanning the whole input that fit the start category."""
         n = len(self.words)
-        out: list[Edge] = []
-        for edge in self.chart.edges:
-            if edge.start != 0 or edge.end != n:
-                continue
-            if edge.backbone != start.backbone:
-                continue
-            fresh = refresh(start, {})
-            if unify_values(fresh, edge.cat, {}) is not None:
-                out.append(edge)
-        return out
+        return [edge for edge in self.chart.edges
+                if edge.start == 0 and edge.end == n and self.fits_start(edge)]
 
     def complete_readings(self) -> list[Reading]:
         """Fully resolved readings over all complete edges."""
@@ -489,7 +488,7 @@ class _Parser:
         # every edge of its backbone, and a ground sequence is its own copy
         for entry in self.tables.entries.get(e.backbone, ()):
             if not entry.head_ci and not self._licensed(
-                entry.head.backbone, e.start
+                entry.rule.head.backbone, e.start
             ):
                 continue
             binds: dict = {}

@@ -5,15 +5,17 @@ cheapest way to tile it with parsed phrases. Every non-empty edge
 is an arc costing `fragment_cost`; every word is also coverable by a
 fallback arc costing `fallback_cost` (dearer by default, so real
 phrases are preferred). The cover is found by dynamic programming over
-suffix costs; reconstruction prefers longer arcs, then arcs of the
-start category, then phrase arcs over fallbacks, then earlier edges.
+suffix costs; reconstruction prefers longer arcs, then arcs that fit
+the start category (`ParseResult.fits_start`), then phrase arcs over
+fallbacks, then earlier edges.
 
 The parse score is
 
     -(fragment_cost * fragments) + sentence_bonus?  - dispreference
 
-where the bonus applies only to a cover that is one single phrase of
-the start category, and dispreference sums, over the cover's phrases,
+where the bonus applies only to a cover that is one complete parse (a
+single arc whose edge fits the start category, as the complete edges
+do), and dispreference sums, over the cover's phrases,
 the cheapest total weight of dispreferred rules any derivation needs.
 Rescoring combines this with a recognizer score: rec + scale * score.
 """
@@ -113,7 +115,6 @@ def min_fragment_cover(result: ParseResult,
     if weights is None:
         weights = ScoreWeights()
     n = len(result.words)
-    start_backbone = result.grammar.start.backbone
     starting: list[list[Edge]] = [[] for _ in range(n)]
     for edge in result.chart.edges:
         if edge.start < edge.end:
@@ -136,7 +137,7 @@ def min_fragment_cover(result: ParseResult,
         edge = min(
             (e for e in starting[i]
              if abs(weights.fragment_cost + suffix[e.end] - suffix[i]) < _EPS),
-            key=lambda e: (e.start - e.end, e.backbone != start_backbone, e.id),
+            key=lambda e: (e.start - e.end, not result.fits_start(e), e.id),
             default=None,
         )
         if edge is None:
@@ -148,7 +149,7 @@ def min_fragment_cover(result: ParseResult,
     single = (
         len(chosen) == 1
         and chosen[0].edge is not None
-        and chosen[0].edge.backbone == start_backbone
+        and result.fits_start(chosen[0].edge)
     )
     dispref = sum(
         edge_dispreference(result.grammar, arc.edge)

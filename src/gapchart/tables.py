@@ -7,15 +7,16 @@ only where predicted (or where they can begin a predicted phrase).
 context-dependent, and `llc` uses the grammar's declared set.
 
 Compilation derives the nullable set, the possible-left-corner relation
-(reflexive-transitive), first-word sets for one-word lookahead, the
-prediction entries that fire when a first daughter completes, and the
-reduction trigger index. Triggers and entries hold what a rule alone
-decides: its daughters as compiled (`Rule.compiled_rhs`, where a closed
-daughter is its bare backbone), whether its head is context-independent,
-and whether a predicted sequence is ground. Compilation also reports
-closure violations: the context-dependent set must be closed under
-possible-left-corner-of, or predictions cannot license every phrase a
-complete parse needs.
+(reflexive-transitive), first-word sets for one-word lookahead (read off
+that relation: a word begins every phrase one of its lexical categories
+can begin), the prediction entries that fire when a first daughter
+completes, and the reduction trigger index. Triggers and entries hold
+what a rule alone decides: its daughters as compiled
+(`Rule.compiled_rhs`, where a closed daughter is its bare backbone),
+whether its head is context-independent, and whether a predicted
+sequence is ground. Compilation also reports closure violations: the
+context-dependent set must be closed under possible-left-corner-of, or
+predictions cannot license every phrase a complete parse needs.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class PredictionEntry(NamedTuple):
 
     rule: Rule
     trigger: FeatureTerm
-    head: FeatureTerm
     head_ci: bool
     seq: tuple[FeatureTerm, ...]
     ground: bool
@@ -137,23 +137,14 @@ def _left_corner(
     return {b: frozenset(s) for b, s in step.items()}
 
 
-def _first_word(grammar: Grammar, nullable: frozenset[str]) -> dict[str, frozenset[str]]:
+def _first_word(grammar: Grammar,
+                left_corner: dict[str, frozenset[str]]) -> dict[str, frozenset[str]]:
+    # a word begins every phrase one of its lexical backbones can begin
     first: dict[str, set[str]] = {}
     for word, entries in grammar.lexicon.items():
         for entry in entries:
-            first.setdefault(entry.cat.backbone, set()).add(word)
-    changed = True
-    while changed:
-        changed = False
-        for rule in grammar.rules:
-            head = first.setdefault(rule.head.backbone, set())
-            before = len(head)
-            for d in rule.rhs:
-                head.update(first.get(d.backbone, ()))
-                if d.backbone not in nullable:
-                    break
-            if len(head) != before:
-                changed = True
+            for phrase in left_corner[entry.cat.backbone]:
+                first.setdefault(phrase, set()).add(word)
     return {b: frozenset(s) for b, s in first.items()}
 
 
@@ -171,7 +162,6 @@ def _entries(grammar: Grammar, cd: frozenset[str]) -> dict[str, tuple[Prediction
             entry = PredictionEntry(
                 rule=rule,
                 trigger=trigger,
-                head=rule.head,
                 head_ci=rule.head.backbone not in cd,
                 seq=seq,
                 ground=all(t.ground for t in seq),
@@ -222,7 +212,7 @@ def compile_tables(grammar: Grammar, strategy: str) -> CompiledTables:
         backbones=backbones,
         nullable=nullable,
         left_corner=left_corner,
-        first_word=_first_word(grammar, nullable),
+        first_word=_first_word(grammar, left_corner),
         entries=_entries(grammar, cd),
         reduction_triggers=_reduction_triggers(grammar, nullable, cd),
         empty_rules=tuple(r for r in grammar.rules if not r.rhs),

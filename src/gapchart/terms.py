@@ -324,7 +324,8 @@ class Restrictor:
     def restrict(self, term: FeatureTerm) -> FeatureTerm:
         tree = self.trees.get(term.backbone)
         if not tree:
-            return FeatureTerm(term.backbone)
+            # a bare term is its own restriction
+            return FeatureTerm(term.backbone) if term.feats else term
         return self._apply(term, tree)
 
     def _apply(self, term: FeatureTerm, tree: dict) -> FeatureTerm:

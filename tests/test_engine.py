@@ -183,6 +183,21 @@ def test_a_resumed_parse_builds_the_chart_of_a_fresh_parse(toy_grammar, toy_corp
     assert shared >= 3
 
 
+def test_chart_counts_are_the_sizes_of_its_edge_and_prediction_lists(toy_grammar,
+                                                                    toy_corpus):
+    words = tokenize(toy_corpus[0])
+    fresh = parse(toy_grammar, words, strategy="lc", robust=True)
+    longer = words + ["lands"]
+    resumed = parse(toy_grammar, longer, strategy="lc", resume_from=fresh, robust=True)
+    assert fresh.shared_positions(longer) > 0
+    for result in (fresh, resumed):
+        chart = result.chart
+        assert chart.edges_created == len(chart.edges) > 0
+        assert chart.preds_created == sum(map(len, chart.predictions.values())) > 0
+        assert (result.stats.edges, result.stats.predictions) == \
+            (chart.edges_created, chart.preds_created)
+
+
 def test_a_resumed_parse_refuses_a_result_of_another_configuration(toy_grammar):
     words = tokenize("the pilot booked the flight")
     base = parse(toy_grammar, words, depth="sem")

@@ -28,6 +28,11 @@ On fresh and resumed parses of both kinds of grammar, at every depth,
 every edge's first derivation has daughters with smaller ids, which is
 what lets a first tree be read without counting.
 
+Under every strategy, the nullable set, the possible-left-corner
+relation and the first words compiled for both kinds of grammar are
+what the oracles find by derivation search, matrix closure and
+recursion.
+
 The order in which the engine builds a chart is pinned too: for each
 generated grammar of seeds 0-49 (at `syn` under `bu`, `llc` and `lc`)
 and each generated sort grammar (at `sem` and `deferred` under the
@@ -40,8 +45,8 @@ To sweep a wider range of seeds, run
     PYTHONPATH=src python tests/test_generated.py FIRST STOP
 
 which prints each disagreeing seed, strategy (and depth) and input for
-the seeds FIRST to STOP - 1, over the tree, reading, cover, resume and
-tree-limit checks, and exits 1 if there is any.
+the seeds FIRST to STOP - 1, over the tree, reading, cover, resume,
+tree-limit and table checks, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -62,7 +67,14 @@ from gapchart.scoring import ScoreWeights, min_fragment_cover
 from gapchart.semantics import _walk_network, unify_sorts
 from gapchart.tables import compile_tables
 from gapchart.terms import Node, Var, canonical, resolve
-from oracles import exhaustive_min_cover_cost, exhaustive_parse, tree_lfs
+from oracles import (
+    derivation_nullable,
+    exhaustive_min_cover_cost,
+    exhaustive_parse,
+    matrix_left_corner,
+    recursive_first_words,
+    tree_lfs,
+)
 
 # Phrase backbones, highest first. A rule's daughters come from lower
 # phrases, the preterminals and the empty category `e`; the one way back
@@ -259,6 +271,30 @@ def cover_disagreements(seed: int) -> Iterator[tuple[str, list[str]]]:
             cover = min_fragment_cover(result, weights)
             if sum(arc.cost for arc in cover.arcs) != exhaustive_min_cover_cost(result, weights):
                 yield depth, words
+
+
+def table_disagreements(seed: int) -> Iterator[tuple[str, list[str]]]:
+    """(strategy and table, backbones) for each table of the seed's
+    generated grammar and generated sort grammar that differs, under
+    `bu`, `llc` or `lc`, from what `tests/oracles.py` finds: the
+    nullable set, the possible-left-corner relation and the first words."""
+    for make in (random_grammar, random_sort_grammar):
+        grammar = make(random.Random(seed))
+        nullable = derivation_nullable(grammar)
+        left_corner = matrix_left_corner(grammar)
+        first_word = recursive_first_words(grammar)
+        for strategy in ("bu", "llc", "lc"):
+            tables = compile_tables(grammar, strategy)
+            if tables.nullable != nullable:
+                yield f"{strategy} nullable", sorted(tables.nullable ^ nullable)
+            bad_corners = sorted(b for b in left_corner
+                                 if tables.left_corner.get(b, {b}) != left_corner[b])
+            if bad_corners:
+                yield f"{strategy} left_corner", bad_corners
+            bad_words = sorted(b for b in first_word
+                               if tables.first_word.get(b, set()) != first_word[b])
+            if bad_words:
+                yield f"{strategy} first_word", bad_words
 
 
 def _resume_pairs(rng: random.Random, grammar: Grammar) -> list[tuple[list[str], list[str]]]:
@@ -461,6 +497,11 @@ def test_generated_grammar_covers_cost_what_the_exhaustive_tiling_costs(seed):
 
 
 @pytest.mark.parametrize("seed", SORT_SEEDS)
+def test_tables_of_generated_grammars_match_the_oracles(seed):
+    assert list(table_disagreements(seed)) == []
+
+
+@pytest.mark.parametrize("seed", SORT_SEEDS)
 def test_tree_limits_of_generated_grammars_are_prefixes(seed):
     assert list(limit_disagreements(seed)) == []
 
@@ -611,7 +652,8 @@ if __name__ == "__main__":
     found = False
     for seed in range(first, stop):
         for check in (disagreements, sort_disagreements, sem_disagreements,
-                      cover_disagreements, resume_disagreements, limit_disagreements):
+                      cover_disagreements, resume_disagreements, limit_disagreements,
+                      table_disagreements):
             for variant, words in check(seed):
                 print(seed, variant, words)
                 found = True

@@ -17,6 +17,7 @@ from gapchart.scoring import (
     read_nbest,
     rescore,
 )
+from gapchart.terms import canonical
 
 from oracles import all_min_cost_tilings, exhaustive_min_cover_cost
 
@@ -193,6 +194,44 @@ def test_cover_ties_go_to_longer_arcs_the_start_category_phrases_and_earlier_edg
     assert edge.backbone == "s" and edge is not edges[0]
     edges, (edge,) = chosen("w")
     assert len(edges) == 3 and edge is edges[0]
+
+
+# a start category with a feature: "many" and "one" parse only as
+# s(agr=pl), and "x" is both s(agr=pl) and, one edge later, s(agr=sg)
+AGREEING_START = """
+feature s agr
+feature n agr
+start s(agr=sg)
+rule r : s(agr=A) -> n(agr=A)
+lex many : n(agr=pl)
+lex x : s(agr=pl)
+lex x : s(agr=sg)
+"""
+
+
+def test_no_sentence_bonus_for_a_spanning_edge_that_does_not_fit_the_start():
+    g = parse_grammar(AGREEING_START)
+    result = parse(g, ["many"], robust=True)
+    assert result.stats.complete == 0 and result.trees() == []
+    assert any(e.backbone == "s" and e.end == 1 for e in result.chart.edges)
+    cover = min_fragment_cover(result)
+    assert cover.count == 1 and not cover.is_single_sentence
+    assert nl_score(cover) == pytest.approx(-1.0)
+
+
+def test_cover_ties_go_to_arcs_that_fit_the_start_over_arcs_of_its_backbone():
+    g = parse_grammar(AGREEING_START)
+    for utterance, single in (("x", True), ("x x", False)):
+        result = parse(g, tokenize(utterance), robust=True)
+        cover = min_fragment_cover(result)
+        for arc in cover.arcs:
+            peers = [canonical(e.cat) for e in result.chart.edges
+                     if (e.start, e.end) == (arc.start, arc.end)]
+            # the arc that only shares the start's backbone came first
+            assert peers == ["s(agr=pl)", "s(agr=sg)"], utterance
+            assert canonical(arc.edge.cat) == "s(agr=sg)", utterance
+        assert cover.is_single_sentence == single, utterance
+    assert result.stats.complete == 0
 
 
 def test_weights_reject_unknown_keys(tmp_path):

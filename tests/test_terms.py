@@ -324,6 +324,14 @@ def test_equal_terms_hash_alike_however_built():
             assert {a: "found"}[b] == "found"
 
 
+def test_a_bare_term_of_an_unrestricted_backbone_is_its_own_restriction():
+    restrictor = Restrictor.from_paths([("np", ("agr",))])
+    bare = FeatureTerm("vp")
+    assert restrictor.restrict(bare) is bare
+    # a term with features is rebuilt without them
+    assert restrictor.restrict(FeatureTerm("vp", (("agr", "sg"),))) == bare
+
+
 def test_unify_of_equal_ground_terms_returns_the_given_binds():
     t = FeatureTerm("np", (("agr", "sg"), ("sem", FeatureTerm("c", (("k", "v"),)))))
     same = FeatureTerm("np", (("sem", FeatureTerm("c", (("k", "v"),))), ("agr", "sg")))
