@@ -14,7 +14,7 @@ term, so its group holds at most one edge and packs without a variant
 test.
 
 `ForestFold` folds the packed forest below an edge bottom-up, cutting
-unproductive cycles; tree counting and dispreference are both folds.
+cycles (which close within one span); tree counts and dispreference are folds.
 
 Predictions are sequences of restricted categories anticipated at a
 string position. Adding one applies the restrictor, the one-word
@@ -104,12 +104,16 @@ class ForestFold(Generic[T]):
     An edge's value is `plus` over its derivations of
     `derive(derivation, daughter values)`, starting from `zero`. A
     daughter that revisits an edge on the current root path (possible
-    only through unproductive cycles) is cut: its value is `zero`. The
-    cut is path-dependent, so a value is memoised only when its whole
-    computation hit no cut; such a value is the same on every path.
+    only through unproductive cycles) is cut: its value is `zero`.
     Counting trees is (0, +, product); the cheapest derivation is
     (inf, min, sum). The fold runs on an explicit stack, so a forest
     deeper than Python's recursion limit folds too.
+
+    A derivation's daughters tile its edge's span, so a daughter with a
+    smaller span, and all below it, never meets an edge above: a cut hits
+    only an ancestor with the same span. So a daughter with a smaller
+    span has its root value (below an empty path), which is memoised; a
+    value that hit no cut within its span is the same below every path.
     """
 
     def __init__(self, zero: T, plus: Callable[[T, T], T],
@@ -117,33 +121,34 @@ class ForestFold(Generic[T]):
         self.zero = zero
         self.plus = plus
         self.derive = derive
-        self._memo: dict[int, T] = {}
+        self._memo: dict[int, T] = {}  # values that hit no cut
+        self._roots: dict[int, T] = {}  # root values
 
     def value(self, edge: Edge, path: set[int] | None = None) -> T:
-        """The edge's value below `path`, the ids of the edges above it
-        on the current root path (default: the edge is a root)."""
+        """The edge's value below `path`, the ids of the edges with the
+        edge's span above it on the current root path (default: none,
+        the edge's root value)."""
         got = self._memo.get(edge.id)
         if got is not None:
             return got
-        if path is None:
-            path = set()
-        elif edge.id in path:
-            return self.zero
-        return self._fold(edge, path)
-
-    def settled(self, edge: Edge) -> bool:
-        """Whether the edge's value is memoised, and so path-independent."""
-        return edge.id in self._memo
+        if path:
+            return self.zero if edge.id in path else self._fold(edge, path)
+        got = self._roots.get(edge.id)
+        if got is None:
+            got = self._roots[edge.id] = self._fold(edge, set())
+        return got
 
     def _fold(self, edge: Edge, path: set[int]) -> T:
-        # The depth-first fold of an edge neither memoised nor on the
-        # path, on an explicit stack, since a forest's depth grows with
-        # the input. The state of the edge being folded is held in
-        # locals: its derivations still to fold, the derivation `d` and
-        # its daughters still to visit, the daughters' `values` so far,
-        # `best` over the derivations folded, and whether a cut was hit.
-        # A daughter to fold saves that state on the stack.
-        memo, zero, plus, derive = self._memo, self.zero, self.plus, self.derive
+        # The depth-first fold of an edge whose value below `path` is not
+        # memoised, on an explicit stack, since a forest's depth grows
+        # with the input. The edge being folded keeps in locals its
+        # derivations still to fold, the derivation `d` and its daughters
+        # still to visit, their `values` so far, `best` over the
+        # derivations folded, and whether a cut was hit within its span;
+        # a daughter to fold saves them on the stack. `path` holds the
+        # whole root path, of which only the same-span part recurs.
+        memo, roots, zero, plus, derive = (self._memo, self._roots, self.zero,
+                                           self.plus, self.derive)
         stack = []
         path.add(edge.id)
         derivations = iter(edge.derivations)
@@ -153,9 +158,12 @@ class ForestFold(Generic[T]):
             for child in daughters:
                 value = memo.get(child.id)
                 if value is None:
-                    if child.id not in path:
+                    if child.id in path:
+                        value, clean = zero, False
+                    elif roots and (child.start != edge.start or child.end != edge.end):
+                        value = roots.get(child.id)
+                    if value is None:
                         break
-                    value, clean = zero, False
                 values.append(value)
             else:
                 best = plus(best, derive(d, values))
@@ -169,10 +177,14 @@ class ForestFold(Generic[T]):
                     memo[edge.id] = best
                 if not stack:
                     return best
-                value, ok = best, clean
+                child, value, ok = edge, best, clean
                 edge, derivations, d, daughters, values, best, clean = stack.pop()
                 values.append(value)
-                clean = clean and ok
+                if not ok:  # a cut below a span change leaves a root value
+                    if child.start != edge.start or child.end != edge.end:
+                        roots[child.id] = value
+                    else:
+                        clean = False
                 continue
             stack.append((edge, derivations, d, daughters, values, best, clean))
             edge = child

@@ -199,134 +199,121 @@ class ParseResult:
         derivations (possible only through unproductive chains) are cut
         rather than expanded.
 
-        Every complete edge has a tree, and its first one is always read
-        off first derivations alone: an edge's first derivation has
-        daughters with smaller ids, so following first derivations meets
-        no edge twice and no cycle. So `trees(n)` counts the trees of a
-        complete edge only when a second tree of that edge is wanted, and
-        counts every complete edge when `limit` is None or negative, for
-        the length of the list. A tree past the first is unranked from
-        per-edge tree counts rather than expanded, so the first n trees
-        cost time linear in the counted forest and in their own size,
-        not in the number of trees. Trees are read and counted on
-        explicit stacks, so a forest deeper than Python's recursion limit
-        unpacks too.
+        A complete edge's first tree counts nothing; its trees are counted
+        only when a second one is wanted, and every complete edge is
+        counted for the length of the list when `limit` is None or
+        negative. The other trees are read off the counts, so the first n
+        cost time linear in the counted forest and in their own size; all
+        run on explicit stacks, so no recursion limit bounds the depth.
         """
         roots = self.complete_edges()
-        unranker = _Unranker()
+        writer = _TreeWriter()
         if limit is None or limit < 0:
             # the length of `trees()[:limit]`
-            limit = len(range(sum(unranker.counts.value(e) for e in roots))[:limit])
+            limit = len(range(sum(writer.counts.value(e) for e in roots))[:limit])
         out: list[str] = []
         for edge in roots:
             wanted = limit - len(out)
             if wanted < 1:
                 break
-            out.append(_first_tree(edge))
-            if wanted > 1:
-                n = unranker.counts.value(edge)
-                out += [unranker.tree(edge, i, set()) for i in range(1, min(n, wanted))]
+            n = writer.counts.value(edge) if wanted > 1 else 1
+            out += [writer.tree(edge, i) for i in range(min(n, wanted))]
         return out
 
 
-class _Unranker:
-    """Reads tree number i of an edge off per-edge tree counts: the
-    derivations in order, and within one derivation the daughters'
-    trees in mixed radix with the last daughter varying fastest.
+class _TreeWriter:
+    """Writes tree number i of a root edge in preorder.
 
-    An edge whose count is settled has the same trees on every root
-    path, so its derivation counts and its trees are kept and shared
-    between the trees above it."""
+    An edge's trees below a path go by derivation, then by the
+    daughters' trees in mixed radix, the last daughter fastest; a
+    daughter on the path is cut. As in `ForestFold`, only the same-span
+    part of the path matters, so a daughter with a smaller span than its
+    parent is path-free: it has its trees as a root. Tree 0 of a
+    path-free edge follows first derivations, whose daughters are older
+    edges, so it meets no cut and counts nothing. Any other tree takes a
+    derivation and daughter indices from the tree counts, and a
+    path-free edge keeps these choices. Within a root's other trees, the
+    text of a path-free (edge, index) is joined from where it was first
+    written, and kept, when it is asked for again."""
 
     def __init__(self):
         self.counts = ForestFold(0, operator.add, lambda _d, ns: math.prod(ns))
         self._choices: dict[int, list[tuple[Derivation, list[int], int]]] = {}
-        self._trees: dict[tuple[int, int], str] = {}
+        self._text: dict[tuple[int, int], str | tuple[int, int]] = {}
+        self._out: list[str] = []
 
-    def tree(self, edge: Edge, index: int, path: set[int]) -> str:
-        """Tree number `index` of the edge below the root path `path`.
-
-        Depth-first on explicit stacks, since a forest's depth grows with
-        the input. Reading an edge's tree puts the edge on the path,
-        chooses its derivation and daughter indices, and takes the
-        daughters' trees that are kept; the edge goes on `open` with its
-        parts, and `todo` gets a None, which renders it, under the
-        daughters still to read, the last daughter on top. A tree read
-        goes into its slot of its parent's parts."""
-        trees = self._trees
-        root = [trees.get((edge.id, index))]
-        todo: list = [] if root[0] is not None else [(edge, index, root, 0)]
-        opened: list = []
+    def tree(self, edge: Edge, index: int) -> str:
+        """Tree number `index` of the edge as a root, written on an explicit
+        stack, which holds subtrees to write, as an edge (its tree 0,
+        path-free) or (edge, index, same-span path or None), and subtrees
+        written, as (edge id, index, where their text begins, path). Each
+        subtree is written after a space, left out of the root's text."""
+        out, text, counts = self._out, self._text, self.counts
+        begin = len(out) + 1
+        keep = index > 0  # a root's tree 0 is asked for once: note none of it
+        todo: list = [(edge, index, None)]
         while todo:
             item = todo.pop()
-            if item is None:
-                edge, index, d, parts, into, slot = opened.pop()
-                path.remove(edge.id)
-                into[slot] = tree = _render(d, parts)
-                if self.counts.settled(edge):
-                    trees[edge.id, index] = tree
+            if type(item) is Edge:
+                edge, index, path = item, 0, None
+            elif len(item) == 3:
+                edge, index, path = item
+            else:
+                eid, index, at, path = item
+                out.append(")")
+                if path is not None:
+                    path.remove(eid)
+                elif keep:
+                    text[eid, index] = (at, len(out))
                 continue
-            edge, index, into, slot = item
-            path.add(edge.id)
-            i = index
-            for d, sizes, total in self._derivations(edge, path):
-                if i < total:
-                    break
-                i -= total
-            parts: list = [None] * len(sizes)
-            opened.append((edge, index, d, parts, into, slot))
-            todo.append(None)
-            unread = []
+            out.append(" ")
+            if path is None and keep:
+                got = text.get((edge.id, index))
+                if type(got) is tuple:
+                    got = text[edge.id, index] = "".join(out[got[0]:got[1]])
+                if got is not None:
+                    out.append(got)
+                    continue
+            if path is None and index == 0:
+                d, sizes = edge.derivations[0], None
+            else:
+                if path is not None:
+                    path.add(edge.id)
+                choices = self._choices.get(edge.id) if path is None else None
+                if choices is None:
+                    # each derivation, its daughters' tree counts and its own
+                    here = path or {edge.id}
+                    choices = []
+                    for d in edge.derivations:
+                        sizes = [counts.value(c, here if c.start == edge.start
+                                              and c.end == edge.end else None)
+                                 for c in d.daughters]
+                        choices.append((d, sizes, math.prod(sizes)))
+                    if path is None:
+                        self._choices[edge.id] = choices
+                i = index
+                for d, sizes, total in choices:
+                    if i < total:
+                        break
+                    i -= total
+            if d.kind == "lex":
+                out.append(d.word)
+                if path is not None:
+                    path.remove(edge.id)
+                continue
+            todo.append((edge.id, index, len(out), path))
+            out.append("(" + d.rule.name)
+            if sizes is None:
+                todo += reversed(d.daughters)
+                continue
             for j in range(len(sizes) - 1, -1, -1):
                 i, k = divmod(i, sizes[j])
                 child = d.daughters[j]
-                parts[j] = trees.get((child.id, k))
-                if parts[j] is None:
-                    unread.append((child, k, parts, j))
-            unread.reverse()
-            todo += unread
-        return root[0]
-
-    def _derivations(self, edge: Edge, path: set[int]):
-        """Each derivation with its daughters' tree counts and its own."""
-        choices = self._choices.get(edge.id)
-        if choices is None:
-            choices = []
-            for d in edge.derivations:
-                sizes = [self.counts.value(child, path) for child in d.daughters]
-                choices.append((d, sizes, math.prod(sizes)))
-            if self.counts.settled(edge):
-                self._choices[edge.id] = choices
-        return choices
-
-
-def _first_tree(edge: Edge) -> str:
-    """Tree number 0 of the edge as a root: its first derivation over
-    the first trees of its daughters, written out in preorder from an
-    explicit stack (`_render`'s format, without a string per subtree)."""
-    out: list[str] = []
-    todo: list[Edge | str] = [edge]
-    while todo:
-        item = todo.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        d = item.derivations[0]
-        if d.kind == "lex":
-            out.append(d.word)
-            continue
-        out.append("(" + d.rule.name)
-        todo.append(")")
-        for child in reversed(d.daughters):
-            todo += (child, " ")
-    return "".join(out)
-
-
-def _render(d: Derivation, parts: list[str]) -> str:
-    """The s-expression of a derivation over its daughters' trees."""
-    if d.kind == "lex":
-        return d.word
-    return f"({' '.join([d.rule.name, *parts])})"
+                if child.start == edge.start and child.end == edge.end:
+                    todo.append((child, k, path or {edge.id}))
+                else:
+                    todo.append((child, k, None) if k else child)
+        return "".join(out[begin:])
 
 
 class _Parser:

@@ -97,7 +97,9 @@ class FragmentCover:
 
 def edge_dispreference(grammar: Grammar, edge) -> float:
     """Cheapest total dispreferred-rule weight any derivation of the
-    edge incurs; inf only for edges with no acyclic derivation."""
+    edge incurs, cycles cut. It is never inf: following first derivations
+    from any edge gives an acyclic derivation, since their daughters are
+    older edges."""
     weights = grammar.dispreferred
 
     def derive(d, costs: list[float]) -> float:

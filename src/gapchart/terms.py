@@ -137,9 +137,6 @@ class FeatureTerm(Node):
                 return fval
         return None
 
-    def feature_names(self) -> tuple[str, ...]:
-        return tuple(fname for fname, _ in self.feats)
-
     def children(self) -> Iterable[object]:
         return [v for _, v in self.feats]
 

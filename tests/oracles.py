@@ -3,9 +3,10 @@
 Everything here recomputes expected values by a different route than the
 library: a substitution-composition unifier, closure by boolean matrix
 powers, derivation search for nullability, an exhaustive span-table
-parser, tree-by-tree logical forms, and brute-force tiling enumeration.
-Nothing imports from the chart engine itself; only the basic
-term/grammar data types are shared.
+parser, eager tree listing, tree-by-tree logical forms, and brute-force
+tiling enumeration. Nothing imports from the chart engine itself (the
+tree listing reads only the derivations of the edges it is given); only
+the basic term/grammar data types are shared.
 """
 
 from __future__ import annotations
@@ -290,6 +291,32 @@ def exhaustive_parse(grammar: Grammar, words: list[str],
         fresh_start = refresh(grammar.start, {})
         if unify_values(fresh_start, cat, EMPTY_BINDS) is not None:
             out.append(tree)
+    return out
+
+
+# -- eager tree listing ------------------------------------------------------
+#
+# `ParseResult.trees` reads each tree off per-edge tree counts and cuts a
+# cycle on the same-span part of the root path only. This lists an edge's
+# trees by expanding every derivation eagerly, cutting a daughter on the
+# whole root path, and reads nothing of an edge but its derivations.
+
+
+def eager_trees(edge, path: tuple = ()) -> list[str]:
+    """Every tree of `edge` below the root path `path` (the edges above
+    it), in derivation order and then `itertools.product` order over the
+    daughters; a derivation with a daughter on the path, the edge itself
+    included, has no tree."""
+    path = (*path, edge)
+    out = []
+    for d in edge.derivations:
+        if d.kind == "lex":
+            out.append(d.word)
+            continue
+        options = [[] if any(c is above for above in path) else eager_trees(c, path)
+                   for c in d.daughters]
+        out += [f"({' '.join([d.rule.name, *parts])})"
+                for parts in itertools.product(*options)]
     return out
 
 

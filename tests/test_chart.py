@@ -190,7 +190,7 @@ def test_predictions_are_restricted_on_entry(toy_grammar):
     cat = FeatureTerm("np", (("agr", "sg"), ("case", "nom")))
     chart.add_prediction(0, (cat,))
     (seq,) = chart.predictions[0]
-    assert seq[0].feature_names() == ("agr",)
+    assert tuple(n for n, _ in seq[0].feats) == ("agr",)
 
 
 def test_dump_lists_edges_then_predictions(chart):

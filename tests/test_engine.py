@@ -3,11 +3,13 @@ empty-category completeness, robustness, and error handling."""
 
 from __future__ import annotations
 
+import gc
 import sys
+import tracemalloc
 
 import pytest
 
-from gapchart import engine
+from gapchart import chart, engine
 from gapchart.data import read_text
 from gapchart.engine import ConfigError, UnknownWordError, parse, tokenize
 from gapchart.grammar import parse_grammar
@@ -375,18 +377,66 @@ def test_trees_and_covers_of_a_deep_forest_need_no_deep_recursion(text):
     assert cover.is_single_sentence and cover.count == 1
 
 
-def test_a_first_tree_is_never_unranked(monkeypatch):
+@pytest.fixture
+def fold_calls(monkeypatch):
+    """A one-element list counting the `derive` calls of every
+    `ForestFold` the engine makes."""
+    calls = [0]
+
+    class CountingFold(chart.ForestFold):
+        def __init__(self, zero, plus, derive):
+            def counted(d, values):
+                calls[0] += 1
+                return derive(d, values)
+            super().__init__(zero, plus, counted)
+
+    monkeypatch.setattr(engine, "ForestFold", CountingFold)
+    return calls
+
+
+def test_a_first_tree_is_never_unranked(fold_calls):
     # a root's tree 0 is read off first derivations, whatever the limit:
-    # unranking it would refold the forest below each level
-    unranked = engine._Unranker.tree
-
-    def tree(self, edge, index, path):
-        assert index > 0
-        return unranked(self, edge, index, path)
-
-    monkeypatch.setattr(engine._Unranker, "tree", tree)
+    # counting it would fold the forest below the root
     r = parse(parse_grammar(CYCLE_AT_EVERY_LEVEL), tokenize("x x y"))
+    assert r.trees(1) == ["(r0 (r1 x (r1 x (r2 y))))"]
+    assert fold_calls[0] == 0
     assert r.trees(2) == ["(r0 (r1 x (r1 x (r2 y))))"]
+    assert fold_calls[0] > 0
+
+
+# a second tree at the bottom of the spine: `t -> c` twice
+TWO_TREE_SPINE = RIGHT_BRANCHING + "rule r5 : t() -> c()\n"
+TWO_TREE_CYCLES = CYCLE_AT_EVERY_LEVEL + "rule r5 : t() -> c()\n"
+
+
+def spine_trees(depth):
+    return ["(r0 " + "(r1 x " * depth + f"({rule} y)" + ")" * (depth + 1)
+            for rule in ("r2", "r5")]
+
+
+@pytest.mark.parametrize("text", [TWO_TREE_SPINE, TWO_TREE_CYCLES],
+                         ids=["plain", "unary-cycles"])
+def test_a_second_tree_is_linear_in_the_depth(text, fold_calls):
+    # no tree text is kept inside another, and below a span change a
+    # count is folded once, so doubling the depth at most doubles the
+    # work and the memory, give or take a constant
+    g = parse_grammar(text)
+    measured = []
+    for depth in (500, 1000):
+        r = parse(g, ["x"] * depth + ["y"])
+        fold_calls[0] = 0
+        gc.collect()  # empties the free lists, so every allocation is traced
+        tracemalloc.start()
+        try:
+            assert r.trees(2) == spine_trees(depth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        measured.append((fold_calls[0], peak))
+    (calls, peak), (calls2, peak2) = measured
+    assert calls2 <= 2.5 * calls
+    assert peak2 <= 2.5 * peak
+    assert parse(g, ["x"] * 2000 + ["y"]).trees() == spine_trees(2000)
 
 
 def test_no_readings_at_syntax_depth(toy_grammar):

@@ -26,7 +26,11 @@ one position past the lookahead rule does not.
 On fresh and resumed parses of both kinds of grammar, at every depth,
 `trees(n)` is `trees()[:n]` for small, negative and no limits, and
 every edge's first derivation has daughters with smaller ids, which is
-what lets a first tree be read without counting.
+what lets a first tree be read without counting. On generated grammars
+with unary cycles added, `trees(n)` lists exactly the first n trees
+that `tests/oracles.py` expands eagerly, in the same order, cutting
+cycles on the whole root path (for every parse with at most
+`EAGER_CAP` trees).
 
 Under every strategy, the nullable set, the possible-left-corner
 relation and the first words compiled for both kinds of grammar are
@@ -46,7 +50,7 @@ To sweep a wider range of seeds, run
 
 which prints each disagreeing seed, strategy (and depth) and input for
 the seeds FIRST to STOP - 1, over the tree, reading, cover, resume,
-tree-limit and table checks, and exits 1 if there is any.
+tree-limit, tree-order and table checks, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ from gapchart.tables import compile_tables
 from gapchart.terms import Node, Var, canonical, resolve
 from oracles import (
     derivation_nullable,
+    eager_trees,
     exhaustive_min_cover_cost,
     exhaustive_parse,
     matrix_left_corner,
@@ -356,6 +361,49 @@ def resume_disagreements(seed: int, overreach: bool = False) -> Iterator[tuple[s
                             yield f"{variant}: earlier result changed", words
 
 
+def random_cyclic_grammar(rng: random.Random) -> Grammar:
+    """A generated grammar plus one to three unary cycles, `X -> Y` and
+    `Y -> X` over phrases, preterminals and the empty category (`X` and
+    `Y` possibly the same); the first goes through the start backbone,
+    so that complete edges lie on a cycle."""
+    backbones = PHRASES + PRETERMINALS + (EMPTY,)
+    lines = []
+    for i in range(rng.randint(1, 3)):
+        x, y = ("s" if i == 0 else rng.choice(backbones)), rng.choice(backbones)
+        lines += [f"rule c{i}a : {x}() -> {y}()", f"rule c{i}b : {y}() -> {x}()"]
+    return with_closed_cd(rng, random_grammar_text(rng) + "\n".join(lines) + "\n")
+
+
+def cyclic_parses(seed: int) -> Iterator[tuple[str, object]]:
+    """(strategy, result) for parses of generated inputs of the seed's
+    generated grammar with unary cycles, under every strategy."""
+    rng = random.Random(seed)
+    grammar = random_cyclic_grammar(rng)
+    for words in [random_words(rng, grammar) for _ in range(6)]:
+        for strategy in ("bu", "llc", "lc"):
+            yield strategy, parse(grammar, words, strategy=strategy, robust=True)
+
+
+# Cycles and empty rules can give a short input a million trees, which
+# the eager listing cannot expand; a parse with more trees than this is
+# not listed.
+EAGER_CAP = 200
+
+
+def tree_order_disagreements(seed: int) -> Iterator[tuple[str, list[str]]]:
+    """(strategy and limit, words) for every parse of `cyclic_parses`
+    with at most `EAGER_CAP` trees whose `trees(n)`, for some n of
+    `LIMITS`, is not the first n trees that `tests/oracles.eager_trees`
+    lists for the complete edges."""
+    for strategy, result in cyclic_parses(seed):
+        if len(result.trees(EAGER_CAP + 1)) > EAGER_CAP:
+            continue
+        expected = [tree for edge in result.complete_edges() for tree in eager_trees(edge)]
+        for n in LIMITS:
+            if result.trees(n) != expected[:n]:
+                yield f"{strategy} limit {n}", result.words
+
+
 LIMITS = (0, 1, 2, 3, -1, -2, None)
 
 
@@ -506,6 +554,26 @@ def test_tree_limits_of_generated_grammars_are_prefixes(seed):
     assert list(limit_disagreements(seed)) == []
 
 
+@pytest.mark.parametrize("seed", SORT_SEEDS)
+def test_tree_order_of_generated_grammars_with_cycles_matches_eager_listing(seed):
+    assert list(tree_order_disagreements(seed)) == []
+
+
+def _cyclic(edge, path: tuple = ()) -> bool:
+    path = (*path, edge)
+    return any(c in path or _cyclic(c, path) for d in edge.derivations for c in d.daughters)
+
+
+def test_generated_grammars_with_cycles_have_cyclic_forests_with_trees():
+    # the check above means something only if some complete edges with
+    # trees lie on a cycle or above one, which the listing must cut
+    cyclic = sum(_cyclic(edge)
+                 for seed in SORT_SEEDS for _, result in cyclic_parses(seed)
+                 if 0 < len(result.trees(EAGER_CAP + 1)) <= EAGER_CAP
+                 for edge in result.complete_edges())
+    assert cyclic >= 20
+
+
 def test_generated_forests_have_derivations_with_later_daughters():
     # a first tree is read off first derivations; the check above means
     # more if later derivations of some edges do reach later edges
@@ -653,7 +721,7 @@ if __name__ == "__main__":
     for seed in range(first, stop):
         for check in (disagreements, sort_disagreements, sem_disagreements,
                       cover_disagreements, resume_disagreements, limit_disagreements,
-                      table_disagreements):
+                      tree_order_disagreements, table_disagreements):
             for variant, words in check(seed):
                 print(seed, variant, words)
                 found = True

@@ -100,7 +100,7 @@ def test_entry_sequences_are_restricted(toy_grammar):
     ]
     (elem,) = r8_entry.seq
     assert elem.backbone == "np"
-    assert elem.feature_names() == ("agr",)
+    assert tuple(n for n, _ in elem.feats) == ("agr",)
 
 
 def test_closure_violations_on_bad_grammar():
@@ -181,7 +181,7 @@ def test_closed_daughters_of_the_toy_grammar_are_bare(toy_grammar):
     assert rules["r1"].compiled_rhs == rules["r1"].rhs
     # r5 : s_gap() -> np() vp_gap(), where np() is normalized to np(agr=_)
     r5 = rules["r5"]
-    assert r5.rhs[0].feature_names() == ("agr",)
+    assert tuple(n for n, _ in r5.rhs[0].feats) == ("agr",)
     assert r5.compiled_rhs == (FeatureTerm("np"), r5.rhs[1])
     # r8 : vp(agr=A) -> v(agr=A) np() leaves only np() closed
     r8 = rules["r8"]

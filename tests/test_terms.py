@@ -439,9 +439,9 @@ def test_restriction_keeps_declared_paths_only():
     restrictor = Restrictor.from_paths([("np", ("agr",))])
     term = FeatureTerm("np", (("agr", "sg"), ("case", "nom")))
     restricted = restrictor.restrict(term)
-    assert restricted.feature_names() == ("agr",)
+    assert tuple(n for n, _ in restricted.feats) == ("agr",)
     other = restrictor.restrict(FeatureTerm("vp", (("agr", "sg"),)))
-    assert other.feature_names() == ()
+    assert tuple(n for n, _ in other.feats) == ()
 
 
 def test_restriction_is_idempotent_and_generalizes():
@@ -460,8 +460,8 @@ def test_restriction_nested_paths():
     inner = FeatureTerm("a", (("f", "x"), ("h", "y")))
     term = FeatureTerm("b", (("g", inner), ("f", "z")))
     restricted = restrictor.restrict(term)
-    assert restricted.feature_names() == ("g",)
-    assert restricted.get("g").feature_names() == ("f",)
+    assert tuple(n for n, _ in restricted.feats) == ("g",)
+    assert tuple(n for n, _ in restricted.get("g").feats) == ("f",)
 
 
 def test_canonical_numbers_variables_in_first_occurrence_order():
