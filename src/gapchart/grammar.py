@@ -18,7 +18,8 @@ No other identifier may start with `_`: renders name variables `_1`,
 `_2`, ..., and an atom spelled that way would render like one.
 Variables are scoped to their line. Backbones have fixed arity: every
 term is normalized to its backbone's declared features, filling missing
-ones with fresh variables; mentioning an undeclared feature is an error.
+ones with fresh variables; mentioning an undeclared feature is an error,
+and so is naming a feature twice in one `feature` line or in one term.
 """
 
 from __future__ import annotations
@@ -26,12 +27,15 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .lf import LFApp, Placeholder, SAtom, SFunc, lf_atoms
 from .terms import FeatureTerm, Node, Restrictor, Var, leaves
 
+# no two alternatives but the last match at the same character, so the
+# most frequent kinds of token are tried first
 _TOKEN = re.compile(
-    r"'[^']*'|->|-?\d+(?:\.\d+)?|[()\[\],;:=]|[A-Za-z_][A-Za-z0-9_.']*|\S"
+    r"[A-Za-z_][A-Za-z0-9_.']*|[()\[\],;:=]|->|'[^']*'|-?\d+(?:\.\d+)?|\S"
 )
 
 _PLACEHOLDER = re.compile(r"D\d+$")
@@ -108,13 +112,29 @@ class SemRule:
     line: int = 0
 
 
+class GrammarAnalysis(NamedTuple):
+    """What a grammar alone decides, whatever the strategy: its
+    backbones, the nullable backbones, the possible-left-corner relation
+    (reflexive-transitive), the words that can begin each backbone (read
+    off that relation: a word begins every phrase one of its lexical
+    categories can begin) and the empty rules. `parse_grammar` works it
+    out once, and every `compile_tables` call shares it."""
+
+    backbones: frozenset[str]
+    nullable: frozenset[str]
+    left_corner: dict[str, frozenset[str]]
+    first_word: dict[str, frozenset[str]]
+    empty_rules: tuple[Rule, ...]
+
+
 @dataclass
 class Grammar:
-    """A loaded grammar. It is not changed after its first parse:
-    `compiled` caches its `CompiledTables` by strategy, compiled on the
-    first parse made without `tables=`, and the semantic memo on them
-    serves every later parse. So one grammar serves one thread at a
-    time."""
+    """A loaded grammar. Its declarations are not changed once loaded:
+    `analysis`, worked out by `parse_grammar`, holds what they alone
+    decide; `compiled` caches its `CompiledTables` by strategy, compiled
+    on the first parse made without `tables=`, and the semantic memo on
+    them serves every later parse. So one grammar serves one thread at
+    a time."""
 
     features: dict[str, tuple[str, ...]] = field(default_factory=dict)
     start: FeatureTerm | None = None
@@ -125,6 +145,8 @@ class Grammar:
     sem_rules: dict[str, list[SemRule]] = field(default_factory=dict)
     sort_table: dict[str, tuple[object, ...]] = field(default_factory=dict)
     dispreferred: dict[str, float] = field(default_factory=dict)
+    analysis: GrammarAnalysis | None = field(default=None, init=False, repr=False,
+                                             compare=False)
     compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -135,12 +157,84 @@ class Grammar:
         return self.sort_table.get(atom, ())
 
 
-class _LineParser:
-    """Token cursor over one grammar line with line-scoped variables."""
+def analyse(grammar: Grammar) -> GrammarAnalysis:
+    backbones = _all_backbones(grammar)
+    nullable = _nullable(grammar)
+    left_corner = _left_corner(grammar, backbones, nullable)
+    return GrammarAnalysis(
+        backbones=backbones,
+        nullable=nullable,
+        left_corner=left_corner,
+        first_word=_first_word(grammar, left_corner),
+        empty_rules=tuple(r for r in grammar.rules if not r.rhs),
+    )
 
-    def __init__(self, tokens: list[str], lineno: int, errors: list[str]):
+
+def _all_backbones(grammar: Grammar) -> frozenset[str]:
+    out = {d.backbone for rule in grammar.rules for d in (rule.head, *rule.rhs)}
+    out.update([e.cat.backbone for entries in grammar.lexicon.values() for e in entries])
+    if grammar.start is not None:
+        out.add(grammar.start.backbone)
+    return frozenset(out)
+
+
+def _nullable(grammar: Grammar) -> frozenset[str]:
+    rules = [(rule.head.backbone, [d.backbone for d in rule.rhs]) for rule in grammar.rules]
+    nullable: set[str] = set()
+    changed = True
+    while changed:
+        changed = False
+        for head, rhs in rules:
+            if head not in nullable and nullable.issuperset(rhs):
+                nullable.add(head)
+                changed = True
+    return frozenset(nullable)
+
+
+def _left_corner(
+    grammar: Grammar, backbones: frozenset[str], nullable: frozenset[str]
+) -> dict[str, frozenset[str]]:
+    # one step: a daughter can begin the head if everything before it
+    # is nullable
+    step: dict[str, set[str]] = {b: {b} for b in backbones}
+    for rule in grammar.rules:
+        head = rule.head.backbone
+        for d in rule.rhs:
+            step[d.backbone].add(head)
+            if d.backbone not in nullable:
+                break
+    # transitive closure, one pass over the intermediate phrase (Warshall)
+    for via, beyond in step.items():
+        for phrases in step.values():
+            if via in phrases:
+                phrases |= beyond
+    return {b: frozenset(s) for b, s in step.items()}
+
+
+def _first_word(grammar: Grammar,
+                left_corner: dict[str, frozenset[str]]) -> dict[str, frozenset[str]]:
+    # a word begins every phrase one of its lexical backbones can begin
+    first: dict[str, set[str]] = {}
+    for word, entries in grammar.lexicon.items():
+        for entry in entries:
+            for phrase in left_corner[entry.cat.backbone]:
+                first.setdefault(phrase, set()).add(word)
+    return {b: frozenset(s) for b, s in first.items()}
+
+
+class _LineParser:
+    """Token cursor over one grammar line with line-scoped variables.
+
+    `tokens` is the whole line, its kind first, and ends in a `None`
+    sentinel: reading the token at the cursor needs no bounds check, and
+    the cursor never moves past the sentinel. The term, logical-form and
+    sort parsers read `tokens` at `pos` directly."""
+
+    __slots__ = ("tokens", "pos", "lineno", "errors", "vars")
+
+    def __init__(self, tokens: list[str | None], lineno: int, errors: list[str]):
         self.tokens = tokens
-        self.pos = 0
+        self.pos = 1
         self.lineno = lineno
         self.errors = errors
         self.vars: dict[str, Var] = {}
@@ -149,23 +243,24 @@ class _LineParser:
         self.errors.append(f"line {self.lineno}: {msg}")
 
     def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def next(self) -> str | None:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok is not None:
             self.pos += 1
         return tok
 
     def expect(self, tok: str) -> bool:
-        if self.peek() == tok:
+        found = self.tokens[self.pos]
+        if found == tok:
             self.pos += 1
             return True
-        self.error(f"expected {tok!r}, found {self.peek()!r}")
+        self.error(f"expected {tok!r}, found {found!r}")
         return False
 
     def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+        return self.tokens[self.pos] is None
 
     def var(self, name: str) -> Var:
         if name == "_":
@@ -186,40 +281,59 @@ def _is_name(tok: str) -> bool:
 
 
 def parse_term(p: _LineParser, features: dict[str, tuple[str, ...]]) -> FeatureTerm | None:
-    """Parse `backbone` or `backbone(f=v, ...)`, normalized to declared arity."""
-    name = p.next()
-    if name is None or not _is_name(name) or _is_variable(name):
-        p.error(f"expected a category, found {name!r}")
-        return None
+    """Parse `backbone` or `backbone(f=v, ...)`, normalized to declared arity.
+
+    A syntax error is reported first, then a feature the backbone does
+    not declare, then a feature given twice."""
+    toks = p.tokens
+    i = p.pos
+    name = toks[i]
+    # a backbone the feature lines declare was checked there
+    declared = features.get(name)
+    if declared is None:
+        if name is None or not _is_name(name) or _is_variable(name):
+            p.error(f"expected a category, found {name!r}")
+            return None
+        declared = ()
+    i += 1
     given: dict[str, object] = {}
-    if p.peek() == "(":
-        p.next()
-        while p.peek() != ")":
-            fname = p.next()
+    twice = None
+    if toks[i] == "(":
+        i += 1
+        while (fname := toks[i]) != ")":
             if fname is None or not _is_name(fname):
                 p.error(f"expected a feature name, found {fname!r}")
                 return None
-            if not p.expect("="):
+            if toks[i + 1] != "=":
+                p.error(f"expected '=', found {toks[i + 1]!r}")
                 return None
+            p.pos = i + 2
             val = _parse_value(p, features)
             if val is None:
                 return None
+            if fname in given and twice is None:
+                twice = fname
             given[fname] = val
-            if p.peek() == ",":
-                p.next()
-            elif p.peek() != ")":
-                p.error(f"expected ',' or ')', found {p.peek()!r}")
+            i = p.pos
+            tok = toks[i]
+            if tok == ",":
+                i += 1
+            elif tok != ")":
+                p.error(f"expected ',' or ')', found {tok!r}")
                 return None
-        p.next()
-    declared = features.get(name, ())
-    bad = [f for f in given if f not in declared]
-    if bad:
-        p.error(f"feature {bad[0]!r} not declared for backbone {name!r}")
-        return None
-    feats = tuple(
-        (f, given[f] if f in given else Var(f.upper())) for f in declared
-    )
-    return FeatureTerm(name, feats)
+        i += 1
+    p.pos = i
+    if given:
+        for f in given:
+            if f not in declared:
+                p.error(f"feature {f!r} not declared for backbone {name!r}")
+                return None
+        if twice is not None:
+            p.error(f"feature {twice!r} given twice for backbone {name!r}")
+            return None
+        return FeatureTerm(name, [(f, given[f] if f in given else Var(f.upper()))
+                                  for f in declared])
+    return FeatureTerm(name, [(f, Var(f.upper())) for f in declared])
 
 
 def default_semterm(features: dict[str, tuple[str, ...]]) -> FeatureTerm:
@@ -229,21 +343,23 @@ def default_semterm(features: dict[str, tuple[str, ...]]) -> FeatureTerm:
 
 
 def _parse_value(p: _LineParser, features: dict[str, tuple[str, ...]]) -> object | None:
-    tok = p.peek()
+    toks = p.tokens
+    i = p.pos
+    tok = toks[i]
     if tok is None:
         p.error("expected a feature value")
         return None
     if _is_variable(tok):
-        p.next()
+        p.pos = i + 1
         return p.var(tok)
-    if tok.startswith("'"):
-        p.next()
+    if tok[0] == "'":
+        p.pos = i + 1
         return tok
     if _is_name(tok):
         # a following '(' makes it a nested category; otherwise an atom
-        if p.pos + 1 < len(p.tokens) and p.tokens[p.pos + 1] == "(":
+        if toks[i + 1] == "(":
             return parse_term(p, features)
-        p.next()
+        p.pos = i + 1
         return tok
     p.error(f"expected a feature value, found {tok!r}")
     return None
@@ -251,30 +367,32 @@ def _parse_value(p: _LineParser, features: dict[str, tuple[str, ...]]) -> object
 
 def parse_lf(p: _LineParser, allow_placeholders: bool) -> object | None:
     """Parse an LF: atom, variable, Dn placeholder, or `[functor, args...]`."""
-    tok = p.peek()
+    toks = p.tokens
+    tok = toks[p.pos]
     if tok is None:
         p.error("expected a logical form")
         return None
     if tok == "[":
-        p.next()
+        p.pos += 1
         parts: list[object] = []
-        while p.peek() != "]":
+        while toks[p.pos] != "]":
             part = parse_lf(p, allow_placeholders)
             if part is None:
                 return None
             parts.append(part)
-            if p.peek() == ",":
-                p.next()
-            elif p.peek() != "]":
-                p.error(f"expected ',' or ']', found {p.peek()!r}")
+            tok = toks[p.pos]
+            if tok == ",":
+                p.pos += 1
+            elif tok != "]":
+                p.error(f"expected ',' or ']', found {tok!r}")
                 return None
-        p.next()
+        p.pos += 1
         if not parts:
             p.error("empty application []")
             return None
         return LFApp(parts[0], tuple(parts[1:]))
     if _is_variable(tok):
-        p.next()
+        p.pos += 1
         if _PLACEHOLDER.match(tok):
             if not allow_placeholders:
                 p.error(f"daughter placeholder {tok} not allowed here")
@@ -282,7 +400,7 @@ def parse_lf(p: _LineParser, allow_placeholders: bool) -> object | None:
             return Placeholder(int(tok[1:]))
         return p.var(tok)
     if _is_name(tok):
-        p.next()
+        p.pos += 1
         return tok
     p.error(f"expected a logical form, found {tok!r}")
     return None
@@ -290,22 +408,22 @@ def parse_lf(p: _LineParser, allow_placeholders: bool) -> object | None:
 
 def parse_sort(p: _LineParser) -> object | None:
     """Parse a sort: identifier, or `( s1, s2, ... -> s )` (nestable)."""
-    tok = p.peek()
+    toks = p.tokens
+    tok = toks[p.pos]
     if tok is None:
         p.error("expected a sort expression")
         return None
     if tok == "(":
-        p.next()
+        p.pos += 1
         args: list[object] = []
         while True:
             arg = parse_sort(p)
             if arg is None:
                 return None
             args.append(arg)
-            if p.peek() == ",":
-                p.next()
-                continue
-            break
+            if toks[p.pos] != ",":
+                break
+            p.pos += 1
         if not p.expect("->"):
             return None
         res = parse_sort(p)
@@ -315,10 +433,7 @@ def parse_sort(p: _LineParser) -> object | None:
             return None
         return SFunc(tuple(args), res)
     if _is_name(tok) and not _is_variable(tok):
-        p.next()
-        return SAtom(tok)
-    if tok.startswith("'"):
-        p.next()
+        p.pos += 1
         return SAtom(tok)
     p.error(f"expected a sort expression, found {tok!r}")
     return None
@@ -332,17 +447,20 @@ def parse_grammar(text: str) -> Grammar:
     pending_sems: list[SemRule] = []
     rule_names: set[str] = set()
     cd: set[str] = set()
-    raw_lines = text.splitlines()
-
+    # one token list per line, its kind first, ending in a None sentinel
+    # (and whether the line holds an underscore at all)
+    lines: list[tuple[int, list[str | None], bool]] = []
     # feature declarations first so arity normalization sees them all
-    for lineno, raw in enumerate(raw_lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        code = raw.split("#", 1)[0]
+        tokens: list[str | None] = _TOKEN.findall(code)
+        if not tokens:
             continue
-        tokens = _TOKEN.findall(line)
+        tokens.append(None)
+        lines.append((lineno, tokens, "_" in code))
         if tokens[0] != "feature":
             continue
-        p = _LineParser(tokens[1:], lineno, errors)
+        p = _LineParser(tokens, lineno, errors)
         backbone = p.next()
         if backbone is None or not _is_name(backbone) or _is_variable(backbone):
             p.error("feature line needs a backbone symbol")
@@ -356,23 +474,26 @@ def parse_grammar(text: str) -> Grammar:
             if not _is_name(f) or _is_variable(f):
                 p.error(f"bad feature name {f!r}")
                 break
+            if f in feats:
+                p.error(f"feature {f!r} declared twice for {backbone!r}")
+                break
             feats.append(f)
         if not feats:
             p.error("feature line declares no features")
             continue
         features[backbone] = tuple(feats)
 
-    for lineno, raw in enumerate(raw_lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = _TOKEN.findall(line)
+    # with no `sem` features the default semantic term is ground, so
+    # every lexical entry can share it
+    bare_sem = None if "sem" in features else FeatureTerm("sem")
+    for lineno, tokens, underscore in lines:
         kind = tokens[0]
-        p = _LineParser(tokens[1:], lineno, errors)
-        for tok in tokens:
-            if tok.startswith("_") and tok != "_":
-                p.error(f"{tok!r}: only the variable '_' may start with '_' "
-                        "(renders name variables _1, _2, ...)")
+        p = _LineParser(tokens, lineno, errors)
+        if underscore:
+            for tok in tokens[:-1]:
+                if tok[0] == "_" and tok != "_":
+                    p.error(f"{tok!r}: only the variable '_' may start with '_' "
+                            "(renders name variables _1, _2, ...)")
         if kind == "feature":
             continue
         elif kind == "start":
@@ -466,7 +587,7 @@ def parse_grammar(text: str) -> Grammar:
                     continue
                 lf = word
             if semterm is None:
-                semterm = default_semterm(features)
+                semterm = bare_sem if bare_sem is not None else default_semterm(features)
             gram.lexicon.setdefault(word, []).append(LexEntry(word, cat, lf, semterm))
         elif kind == "sem":
             name = p.next()
@@ -597,6 +718,7 @@ def parse_grammar(text: str) -> Grammar:
 
     gram.cd = frozenset(cd)
     gram.restrictor = Restrictor.from_paths(restrict_paths)
+    gram.analysis = analyse(gram)
     return gram
 
 

@@ -6,17 +6,19 @@ only where predicted (or where they can begin a predicted phrase).
 `bu` makes every category context-independent, `lc` makes every one
 context-dependent, and `llc` uses the grammar's declared set.
 
-Compilation derives the nullable set, the possible-left-corner relation
-(reflexive-transitive), first-word sets for one-word lookahead (read off
-that relation: a word begins every phrase one of its lexical categories
-can begin), the prediction entries that fire when a first daughter
-completes, and the reduction trigger index. Triggers and entries hold
-what a rule alone decides: its daughters as compiled
-(`Rule.compiled_rhs`, where a closed daughter is its bare backbone),
-whether its head is context-independent, and whether a predicted
-sequence is ground. Compilation also reports closure violations: the
-context-dependent set must be closed under possible-left-corner-of, or
-predictions cannot license every phrase a complete parse needs.
+The tables take over what the grammar alone decides from
+`Grammar.analysis`, which `parse_grammar` works out once per grammar:
+the backbones, the nullable set, the possible-left-corner relation
+(reflexive-transitive), the first-word sets for one-word lookahead and
+the empty rules. Compilation builds, per strategy, the prediction
+entries that fire when a first daughter completes and the reduction
+trigger index. Triggers and entries hold what a rule alone decides: its
+daughters as compiled (`Rule.compiled_rhs`, where a closed daughter is
+its bare backbone), whether its head is context-independent, and
+whether a predicted sequence is ground. Compilation also reports
+closure violations: the context-dependent set must be closed under
+possible-left-corner-of, or predictions cannot license every phrase a
+complete parse needs.
 """
 
 from __future__ import annotations
@@ -84,70 +86,6 @@ class CompiledTables:
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _all_backbones(grammar: Grammar) -> frozenset[str]:
-    out: set[str] = set()
-    if grammar.start is not None:
-        out.add(grammar.start.backbone)
-    for rule in grammar.rules:
-        out.add(rule.head.backbone)
-        out.update(d.backbone for d in rule.rhs)
-    for entries in grammar.lexicon.values():
-        out.update(e.cat.backbone for e in entries)
-    return frozenset(out)
-
-
-def _nullable(grammar: Grammar) -> frozenset[str]:
-    nullable: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for rule in grammar.rules:
-            head = rule.head.backbone
-            if head in nullable:
-                continue
-            if all(d.backbone in nullable for d in rule.rhs):
-                nullable.add(head)
-                changed = True
-    return frozenset(nullable)
-
-
-def _left_corner(
-    grammar: Grammar, backbones: frozenset[str], nullable: frozenset[str]
-) -> dict[str, frozenset[str]]:
-    # one step: a daughter can begin the head if everything before it
-    # is nullable
-    step: dict[str, set[str]] = {b: {b} for b in backbones}
-    for rule in grammar.rules:
-        head = rule.head.backbone
-        for d in rule.rhs:
-            step.setdefault(d.backbone, {d.backbone}).add(head)
-            if d.backbone not in nullable:
-                break
-    # transitive closure
-    changed = True
-    while changed:
-        changed = False
-        for corner, phrases in step.items():
-            extra: set[str] = set()
-            for phrase in phrases:
-                extra.update(step.get(phrase, ()))
-            if not extra <= phrases:
-                phrases.update(extra)
-                changed = True
-    return {b: frozenset(s) for b, s in step.items()}
-
-
-def _first_word(grammar: Grammar,
-                left_corner: dict[str, frozenset[str]]) -> dict[str, frozenset[str]]:
-    # a word begins every phrase one of its lexical backbones can begin
-    first: dict[str, set[str]] = {}
-    for word, entries in grammar.lexicon.items():
-        for entry in entries:
-            for phrase in left_corner[entry.cat.backbone]:
-                first.setdefault(phrase, set()).add(word)
-    return {b: frozenset(s) for b, s in first.items()}
-
-
 def _entries(grammar: Grammar, cd: frozenset[str]) -> dict[str, tuple[PredictionEntry, ...]]:
     out: dict[str, list[PredictionEntry]] = {}
     restrict = grammar.restrictor.restrict
@@ -191,15 +129,14 @@ def _reduction_triggers(
 def compile_tables(grammar: Grammar, strategy: str) -> CompiledTables:
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    backbones = _all_backbones(grammar)
+    analysis = grammar.analysis
     if strategy == "bu":
         cd: frozenset[str] = frozenset()
     elif strategy == "lc":
-        cd = backbones
+        cd = analysis.backbones
     else:
         cd = frozenset(grammar.cd)
-    nullable = _nullable(grammar)
-    left_corner = _left_corner(grammar, backbones, nullable)
+    left_corner = analysis.left_corner
     violations = sorted(
         (x, y)
         for x in cd
@@ -209,12 +146,12 @@ def compile_tables(grammar: Grammar, strategy: str) -> CompiledTables:
     return CompiledTables(
         strategy=strategy,
         cd=cd,
-        backbones=backbones,
-        nullable=nullable,
+        backbones=analysis.backbones,
+        nullable=analysis.nullable,
         left_corner=left_corner,
-        first_word=_first_word(grammar, left_corner),
+        first_word=analysis.first_word,
         entries=_entries(grammar, cd),
-        reduction_triggers=_reduction_triggers(grammar, nullable, cd),
-        empty_rules=tuple(r for r in grammar.rules if not r.rhs),
+        reduction_triggers=_reduction_triggers(grammar, analysis.nullable, cd),
+        empty_rules=analysis.empty_rules,
         closure_violations=violations,
     )

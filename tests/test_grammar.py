@@ -260,3 +260,21 @@ def test_identifiers_starting_with_underscore_are_errors():
     errs = _errors("start s()\nrule r : s() ->\nlex '_1' : s()\n")
     assert any("line 3" in e and "'_1'" in e for e in errs)
     parse_grammar("start s()\nrule r : s() ->\nlex '_1' : s() -> one\n")
+
+
+def test_feature_declared_twice_is_an_error():
+    # it used to load `lex x : a(f=u)` as a(f='u',f='u')
+    errs = _errors("feature a f f\nstart a()\nrule r : a() ->\nlex x : a(f=u)\n")
+    assert errs == ["line 1: feature 'f' declared twice for 'a'"]
+
+
+def test_feature_given_twice_in_a_term_is_an_error():
+    # the last value used to win without a word, so "y" got a tree and "x" none
+    text = ("feature a f\nstart s()\nrule r : s() -> a(f=u, f=v)\n"
+            "lex x : a(f=u)\nlex y : a(f=v)\n")
+    assert _errors(text) == ["line 3: feature 'f' given twice for backbone 'a'"]
+    # a syntax error or an undeclared feature in the same term is reported instead
+    assert _errors("feature a f\nstart s()\nrule r : s() -> a(f=u, f=v g)\n") == [
+        "line 3: expected ',' or ')', found 'g'"]
+    assert _errors("feature a f\nstart s()\nrule r : s() -> a(f=u, f=v, g=w)\n") == [
+        "line 3: feature 'g' not declared for backbone 'a'"]

@@ -9,7 +9,8 @@ import pytest
 
 from gapchart.data import read_text
 from gapchart.engine import parse, tokenize
-from gapchart.grammar import parse_grammar
+from gapchart import grammar as grammar_module
+from gapchart.grammar import analyse, parse_grammar
 from gapchart.semantics import DEPTHS, SEM, SYN
 from gapchart.tables import STRATEGIES, compile_tables
 from gapchart.terms import FeatureTerm, canonical_seq
@@ -49,6 +50,47 @@ def test_first_words_match_recursive_computation(grammars):
         for backbone in tables.backbones:
             assert tables.first_word.get(backbone, set()) == \
                 oracle[backbone], (name, backbone)
+
+
+def _table_text(tables):
+    """The tables with rules by name and terms rendered canonically, so
+    that tables compiled from two loads of one grammar compare equal."""
+
+    def entry(e):
+        return e.rule.name, canonical_seq((e.trigger, *e.seq)), e.head_ci, e.ground
+
+    def trigger(t):
+        return (t.rule.name, canonical_seq((*t.tail, t.daughter, *t.trailing)),
+                len(t.tail), t.head_ci)
+
+    return (tables.strategy, tables.cd, tables.backbones, tables.nullable,
+            tables.left_corner, tables.first_word,
+            {b: [entry(e) for e in es] for b, es in tables.entries.items()},
+            {b: [trigger(t) for t in ts] for b, ts in tables.reduction_triggers.items()},
+            [r.name for r in tables.empty_rules], tables.closure_violations)
+
+
+@pytest.mark.parametrize("name", ("toy.gram", "sorts.gram", "fragments.gram"))
+def test_the_grammar_analysis_is_worked_out_once_per_grammar(monkeypatch, name):
+    calls = []
+
+    def counting(grammar):
+        calls.append(grammar)
+        return analyse(grammar)
+
+    monkeypatch.setattr(grammar_module, "analyse", counting)
+    grammar = parse_grammar(read_text(name))
+    tables = {strategy: compile_tables(grammar, strategy) for strategy in STRATEGIES}
+    assert calls == [grammar]
+    analysis = grammar.analysis
+    for t in tables.values():
+        assert t.nullable is analysis.nullable and t.left_corner is analysis.left_corner
+        assert t.first_word is analysis.first_word and t.backbones is analysis.backbones
+        assert t.empty_rules is analysis.empty_rules
+    monkeypatch.undo()
+    for strategy, t in tables.items():
+        fresh = compile_tables(parse_grammar(read_text(name)), strategy)
+        assert _table_text(t) == _table_text(fresh), strategy
 
 
 def test_strategy_determines_cd_set(toy_grammar):
