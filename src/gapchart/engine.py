@@ -167,9 +167,8 @@ class ParseResult:
 
     def complete_edges(self) -> list[Edge]:
         """Edges spanning the whole input that fit the start category."""
-        n = len(self.words)
-        return [edge for edge in self.chart.edges
-                if edge.start == 0 and edge.end == n and self.fits_start(edge)]
+        return [edge for edge in self.chart.edges_ending_at(len(self.words))
+                if edge.start == 0 and self.fits_start(edge)]
 
     def complete_readings(self) -> list[Reading]:
         """Fully resolved readings over all complete edges."""

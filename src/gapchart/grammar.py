@@ -35,7 +35,7 @@ from .terms import FeatureTerm, Node, Restrictor, Var, leaves
 # no two alternatives but the last match at the same character, so the
 # most frequent kinds of token are tried first
 _TOKEN = re.compile(
-    r"[A-Za-z_][A-Za-z0-9_.']*|[()\[\],;:=]|->|'[^']*'|-?\d+(?:\.\d+)?|\S"
+    r"[A-Za-z_][A-Za-z0-9_.']*|[()\[\],;:=]|->|'[^']*'|-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\S"
 )
 
 _PLACEHOLDER = re.compile(r"D\d+$")
@@ -242,25 +242,53 @@ class _LineParser:
     def error(self, msg: str) -> None:
         self.errors.append(f"line {self.lineno}: {msg}")
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos]
-
     def next(self) -> str | None:
         tok = self.tokens[self.pos]
         if tok is not None:
             self.pos += 1
         return tok
 
-    def expect(self, tok: str) -> bool:
-        found = self.tokens[self.pos]
-        if found == tok:
+    def name(self, missing: str, symbol: bool = False) -> str | None:
+        """The next token as a name (if `symbol`, one that is not a
+        variable either), or None after reporting that the line needs
+        `missing`."""
+        tok = self.tokens[self.pos]
+        if tok is None or not _is_name(tok) or (symbol and _is_variable(tok)):
+            self.error(f"{self.tokens[0]} line needs {missing}")
+            return None
+        self.pos += 1
+        return tok
+
+    def skip(self, tok: str) -> bool:
+        """Consume `tok` if it is next: whether it was."""
+        if self.tokens[self.pos] == tok:
             self.pos += 1
             return True
-        self.error(f"expected {tok!r}, found {found!r}")
         return False
 
-    def at_end(self) -> bool:
-        return self.tokens[self.pos] is None
+    def expect(self, tok: str) -> bool:
+        if self.skip(tok):
+            return True
+        self.error(f"expected {tok!r}, found {self.tokens[self.pos]!r}")
+        return False
+
+    def end(self, kind: str) -> bool:
+        """Whether the line is read to its end; reports what is left if not."""
+        tok = self.tokens[self.pos]
+        if tok is None:
+            return True
+        self.error(f"unexpected {tok!r} at end of {kind} line")
+        return False
+
+    def terms(self, features: dict[str, tuple[str, ...]]) -> tuple[FeatureTerm, ...] | None:
+        """The categories up to the end of the line, or None after an error."""
+        out = []
+        while self.tokens[self.pos] is not None:
+            term = parse_term(self, features)
+            if term is None:
+                return None
+            out.append(term)
+        return tuple(out)
 
     def var(self, name: str) -> Var:
         if name == "_":
@@ -445,7 +473,7 @@ def parse_grammar(text: str) -> Grammar:
     gram = Grammar(features=features)
     restrict_paths: list[tuple[str, tuple[str, ...]]] = []
     pending_sems: list[SemRule] = []
-    rule_names: set[str] = set()
+    rules: dict[str, Rule] = {}
     cd: set[str] = set()
     # one token list per line, its kind first, ending in a None sentinel
     # (and whether the line holds an underscore at all)
@@ -461,16 +489,14 @@ def parse_grammar(text: str) -> Grammar:
         if tokens[0] != "feature":
             continue
         p = _LineParser(tokens, lineno, errors)
-        backbone = p.next()
-        if backbone is None or not _is_name(backbone) or _is_variable(backbone):
-            p.error("feature line needs a backbone symbol")
+        backbone = p.name("a backbone symbol", symbol=True)
+        if backbone is None:
             continue
         if backbone in features:
             p.error(f"duplicate feature declaration for {backbone!r}")
             continue
         feats: list[str] = []
-        while not p.at_end():
-            f = p.next()
+        while (f := p.next()) is not None:
             if not _is_name(f) or _is_variable(f):
                 p.error(f"bad feature name {f!r}")
                 break
@@ -498,69 +524,55 @@ def parse_grammar(text: str) -> Grammar:
             continue
         elif kind == "start":
             term = parse_term(p, features)
-            if term is not None:
-                if gram.start is not None:
-                    p.error("duplicate start declaration")
-                else:
-                    gram.start = term
+            if term is None or not p.end(kind):
+                continue
+            if gram.start is not None:
+                p.error("duplicate start declaration")
+            else:
+                gram.start = term
         elif kind == "cd":
-            while not p.at_end():
-                sym = p.next()
+            while (sym := p.next()) is not None:
                 if not _is_name(sym) or _is_variable(sym):
                     p.error(f"bad backbone symbol {sym!r}")
                     break
                 cd.add(sym)
         elif kind == "restrict":
-            backbone = p.next()
-            if backbone is None or not _is_name(backbone) or _is_variable(backbone):
-                p.error("restrict line needs a backbone symbol")
+            backbone = p.name("a backbone symbol", symbol=True)
+            if backbone is None:
                 continue
             got_any = False
-            while not p.at_end():
-                path = p.next()
+            while (path := p.next()) is not None:
                 steps = tuple(path.split("."))
                 if steps[0] not in features.get(backbone, ()):
-                    p.error(
-                        f"restricted feature {steps[0]!r} not declared for {backbone!r}"
-                    )
+                    p.error(f"restricted feature {steps[0]!r} not declared for {backbone!r}")
                     continue
                 restrict_paths.append((backbone, steps))
                 got_any = True
             if not got_any:
                 p.error("restrict line declares no paths")
         elif kind == "rule":
-            name = p.next()
-            if name is None or not _is_name(name):
-                p.error("rule line needs a name")
-                continue
-            if name in rule_names:
+            name = p.name("a name")
+            if name in rules:
                 p.error(f"duplicate rule name {name!r}")
                 continue
-            if not p.expect(":"):
+            if name is None or not p.expect(":"):
                 continue
             head = parse_term(p, features)
-            if head is None:
+            if head is None or not p.expect("->"):
                 continue
-            if not p.expect("->"):
-                continue
-            rhs: list[FeatureTerm] = []
-            ok = True
-            while not p.at_end():
-                d = parse_term(p, features)
-                if d is None:
-                    ok = False
-                    break
-                rhs.append(d)
-            if ok:
-                rule_names.add(name)
-                gram.rules.append(Rule(name, head, tuple(rhs), lineno))
+            rhs = p.terms(features)
+            if rhs is not None:
+                rules[name] = Rule(name, head, rhs, lineno)
         elif kind == "lex":
-            word = p.next()
-            if word is None or not _is_name(word):
-                p.error("lex line needs a word")
+            word = p.name("a word")
+            if word is None:
                 continue
             if word.startswith("'"):
                 word = word[1:-1]
+                if word.split() != [word]:
+                    p.error(f"word {word!r} can never be parsed: "
+                            "input is split on whitespace")
+                    continue
             if not p.expect(":"):
                 continue
             cat = parse_term(p, features)
@@ -568,18 +580,15 @@ def parse_grammar(text: str) -> Grammar:
                 continue
             lf: object | None = None
             semterm: FeatureTerm | None = None
-            if p.peek() == "->":
-                p.next()
+            if p.skip("->"):
                 lf = parse_lf(p, allow_placeholders=False)
                 if lf is None:
                     continue
-            if p.peek() == "with":
-                p.next()
+            if p.skip("with"):
                 semterm = parse_term(p, features)
                 if semterm is None:
                     continue
-            if not p.at_end():
-                p.error(f"unexpected {p.peek()!r} at end of lex line")
+            if not p.end(kind):
                 continue
             if lf is None:
                 if word.startswith("_"):
@@ -590,61 +599,36 @@ def parse_grammar(text: str) -> Grammar:
                 semterm = bare_sem if bare_sem is not None else default_semterm(features)
             gram.lexicon.setdefault(word, []).append(LexEntry(word, cat, lf, semterm))
         elif kind == "sem":
-            name = p.next()
-            if name is None or not _is_name(name):
-                p.error("sem line needs a rule name")
-                continue
-            if not p.expect(":"):
+            name = p.name("a rule name")
+            if name is None or not p.expect(":"):
                 continue
             template = parse_lf(p, allow_placeholders=True)
             if template is None:
                 continue
             head_sem: FeatureTerm | None = None
             dsems: tuple[FeatureTerm, ...] | None = None
-            if p.peek() == "with":
-                p.next()
+            if p.skip("with"):
                 head_sem = parse_term(p, features)
-                if head_sem is None:
+                if head_sem is None or not p.expect("->"):
                     continue
-                if not p.expect("->"):
+                dsems = p.terms(features)
+                if dsems is None:
                     continue
-                ds: list[FeatureTerm] = []
-                bad = False
-                while not p.at_end():
-                    d = parse_term(p, features)
-                    if d is None:
-                        bad = True
-                        break
-                    ds.append(d)
-                if bad:
-                    continue
-                dsems = tuple(ds)
-            if not p.at_end():
-                p.error(f"unexpected {p.peek()!r} at end of sem line")
-                continue
-            pending_sems.append(SemRule(name, template, head_sem, dsems, lineno))
+            if p.end(kind):
+                pending_sems.append(SemRule(name, template, head_sem, dsems, lineno))
         elif kind == "sort":
-            atom = p.next()
-            if atom is None or not _is_name(atom):
-                p.error("sort line needs an atom")
-                continue
-            if not p.expect(":"):
+            atom = p.name("an atom")
+            if atom is None or not p.expect(":"):
                 continue
             expr = parse_sort(p)
-            if expr is None:
-                continue
-            if not p.at_end():
-                p.error(f"unexpected {p.peek()!r} at end of sort line")
-                continue
-            gram.sort_table[atom] = gram.sort_table.get(atom, ()) + (expr,)
+            if expr is not None and p.end(kind):
+                gram.sort_table[atom] = gram.sort_table.get(atom, ()) + (expr,)
         elif kind == "disprefer":
-            name = p.next()
-            if name is None or not _is_name(name):
-                p.error("disprefer line needs a rule name")
+            name = p.name("a rule name")
+            if name is None:
                 continue
             weight = 1.0
-            if not p.at_end():
-                tok = p.next()
+            if (tok := p.next()) is not None:
                 try:
                     weight = float(tok)
                 except ValueError:
@@ -652,19 +636,17 @@ def parse_grammar(text: str) -> Grammar:
                 if not math.isfinite(weight):
                     p.error(f"bad weight {tok!r}")
                     continue
-            if not p.at_end():
-                p.error(f"unexpected {p.peek()!r} at end of disprefer line")
-                continue
-            gram.dispreferred[name] = weight
+            if p.end(kind):
+                gram.dispreferred[name] = weight
         else:
-            errors.append(f"line {lineno}: unknown line kind {kind!r}")
+            p.error(f"unknown line kind {kind!r}")
 
     if gram.start is None:
         errors.append("no start declaration")
 
-    by_name = {r.name: r for r in gram.rules}
+    gram.rules = list(rules.values())
     for sem in pending_sems:
-        rule = by_name.get(sem.rule_name)
+        rule = rules.get(sem.rule_name)
         if rule is None:
             errors.append(
                 f"line {sem.line}: sem line for unknown rule {sem.rule_name!r}"
@@ -686,32 +668,19 @@ def parse_grammar(text: str) -> Grammar:
             continue
         gram.sem_rules.setdefault(sem.rule_name, []).append(sem)
 
-    for name in gram.dispreferred:
-        if name not in by_name:
-            errors.append(f"disprefer line names unknown rule {name!r}")
-
-    known_backbones = {r.head.backbone for r in gram.rules}
-    for rule in gram.rules:
-        known_backbones.update(e.backbone for e in rule.rhs)
-    for entries in gram.lexicon.values():
-        known_backbones.update(e.cat.backbone for e in entries)
-    for sym in sorted(cd):
-        if sym not in known_backbones:
-            errors.append(f"cd line names unknown backbone {sym!r}")
-
+    # names a line gives that nothing declares
+    entries = [e for es in gram.lexicon.values() for e in es]
+    errors += [f"disprefer line names unknown rule {name!r}"
+               for name in gram.dispreferred if name not in rules]
+    known = {d.backbone for r in gram.rules for d in (r.head, *r.rhs)}
+    known.update(e.cat.backbone for e in entries)
+    errors += [f"cd line names unknown backbone {sym!r}" for sym in sorted(cd - known)]
     if gram.sort_table:
-        missing: list[str] = []
-        for sem in pending_sems:
-            for atom in lf_atoms(sem.template):
-                if atom not in gram.sort_table and atom not in missing:
-                    missing.append(atom)
-        for entries in gram.lexicon.values():
-            for entry in entries:
-                for atom in lf_atoms(entry.lf):
-                    if atom not in gram.sort_table and atom not in missing:
-                        missing.append(atom)
-        for atom in missing:
-            errors.append(f"atom {atom!r} has no sort declaration")
+        atoms = dict.fromkeys(atom for lf in [*(s.template for s in pending_sems),
+                                              *(e.lf for e in entries)]
+                              for atom in lf_atoms(lf))
+        errors += [f"atom {atom!r} has no sort declaration"
+                   for atom in atoms if atom not in gram.sort_table]
 
     if errors:
         raise GrammarError(errors)

@@ -180,6 +180,11 @@ def test_a_resumed_parse_builds_the_chart_of_a_fresh_parse(toy_grammar, toy_corp
                 resumed = parse(toy_grammar, words, resume_from=base, **config)
                 assert resumed.chart.dump() == fresh.chart.dump(), (strategy, utt)
                 assert resumed.trees() == fresh.trees()
+                # the complete edges are those a scan of every edge,
+                # taken-over ones included, finds, in the same order
+                assert [e.id for e in resumed.complete_edges()] == [
+                    e.id for e in resumed.chart.edges
+                    if (e.start, e.end) == (0, len(words)) and resumed.fits_start(e)]
                 shared = max(shared, base.shared_positions(words))
             earlier.append(fresh)
     assert shared >= 3

@@ -449,18 +449,25 @@ def limit_disagreements(seed: int) -> Iterator[tuple[str, list[str]]]:
 
 # Every seed of 0-199 and 1000-1299 that disagreed with the oracle while
 # the chart still packed derivations into more general edges and replaced
-# more specific ones.
+# more specific ones, and 1428, the one seed of 1300-1699 that loses trees.
 REGRESSION_SEEDS = (49, 66, 82, 114, 115, 139, 145, 151, 158, 177, 1001, 1040,
                     1042, 1046, 1055, 1070, 1091, 1150, 1161, 1167, 1191, 1218,
-                    1221, 1250, 1285, 1289)
-LOST_TO_EDGE_ORDER = pytest.mark.xfail(reason=(
-    "ROADMAP item 1: under llc and lc an edge processed before the prediction "
-    "that licenses its parent is never reduced again, so (r2 (r4)) is lost"))
+                    1221, 1250, 1285, 1289, 1428)
+LOST_TO_EDGE_ORDER = {
+    1070: pytest.mark.xfail(reason=(
+        "ROADMAP item 1: under llc and lc an edge processed before the prediction "
+        "that licenses its parent is never reduced again, so (r2 (r4)) is lost")),
+    1428: pytest.mark.xfail(reason=(
+        "ROADMAP item 1: under lc the empty edge at position 1 is processed before "
+        "b() and a() are predicted there, so the empty (r4 (r6)) after the first "
+        "word is never built and trees such as "
+        "(r1 (r5 z (r6)) (r2 (r6) (r4 (r6))) (r2 (r6) (r4 (r6)))) are lost")),
+}
 
 
 @pytest.mark.parametrize("seed", [
     *range(24),
-    *(pytest.param(s, marks=LOST_TO_EDGE_ORDER) if s == 1070 else s
+    *(pytest.param(s, marks=LOST_TO_EDGE_ORDER[s]) if s in LOST_TO_EDGE_ORDER else s
       for s in REGRESSION_SEEDS),
 ])
 def test_generated_grammar_forest_matches_exhaustive_oracle(seed):

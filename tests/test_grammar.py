@@ -149,6 +149,12 @@ def test_disprefer_records_weight():
     assert g.dispreferred == {"r": 0.25}
 
 
+@pytest.mark.parametrize("written, weight", [("1e-3", 0.001), (".5", 0.5)])
+def test_disprefer_weight_in_exponent_or_leading_point_notation(written, weight):
+    g = parse_grammar(f"start s()\nrule r : s() ->\nlex a : s()\ndisprefer r {written}\n")
+    assert g.dispreferred == {"r": weight}
+
+
 def _errors(text: str) -> list[str]:
     with pytest.raises(GrammarError) as info:
         parse_grammar(text)
@@ -200,7 +206,7 @@ def test_sem_with_wrong_daughter_count_is_an_error():
     assert errs
 
 
-@pytest.mark.parametrize("weight", ["nan", "inf", "Infinity"])
+@pytest.mark.parametrize("weight", ["nan", "inf", "Infinity", "1e999"])
 def test_disprefer_non_finite_weight_is_an_error(weight):
     errs = _errors(f"start s()\nrule r : s() ->\nlex a : s()\ndisprefer r {weight}\n")
     assert errs == [f"line 4: bad weight {weight!r}"]

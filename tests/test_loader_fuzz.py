@@ -5,18 +5,22 @@ mutates a few of its lines: tokens are deleted, repeated, swapped,
 replaced by tokens drawn from the grammar files, or split apart; whole
 lines are deleted, repeated or cut short. Whatever comes out,
 `parse_grammar` and `compile_tables` under `bu`, `llc` and `lc` may
-raise `GrammarError` and nothing else.
+raise `GrammarError` and nothing else, and a grammar that loads holds
+only words that input can hold (`tokenize(word) == [word]`) and finite
+dispreference weights.
 
 To sweep a wider range of seeds, run
 
     PYTHONPATH=src python tests/test_loader_fuzz.py FIRST STOP
 
 which prints each seed whose grammar raised anything else, with the
-exception, for the seeds FIRST to STOP - 1, and exits 1 if there is any.
+exception, or loaded with such a word or weight, for the seeds FIRST to
+STOP - 1, and exits 1 if there is any.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 import traceback
@@ -25,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from gapchart.data import read_text
+from gapchart.engine import tokenize
 from gapchart.grammar import GrammarError, parse_grammar
 from gapchart.tables import STRATEGIES, compile_tables
 
@@ -80,15 +85,23 @@ def mutated_grammar(seed: int) -> str:
 
 def unexpected_error(seed: int) -> str | None:
     """The traceback of anything but `GrammarError` that loading and
-    compiling the mutated grammar of `seed` raised, or None."""
+    compiling the mutated grammar of `seed` raised, what is wrong with
+    the grammar if it loaded with a word input cannot hold or a weight
+    that is not finite, or None."""
     try:
         grammar = parse_grammar(mutated_grammar(seed))
         for strategy in STRATEGIES:
             compile_tables(grammar, strategy)
     except GrammarError:
-        pass
+        return None
     except Exception:
         return traceback.format_exc(limit=4)
+    for word in grammar.lexicon:
+        if tokenize(word) != [word]:
+            return f"word {word!r} loaded, but input gives {tokenize(word)!r}"
+    for name, weight in grammar.dispreferred.items():
+        if not math.isfinite(weight):
+            return f"rule {name!r} loaded with dispreference weight {weight!r}"
     return None
 
 

@@ -116,6 +116,7 @@ ERROR_CASES: dict[str, str] = {
     "no_features": "feature s\n" + _OK,
     "leading_underscore": _OK + "lex x : s() -> _x\n",
     "duplicate_start": _OK + "start s()\n",
+    "start_trailing": "start s() junk\nrule r : s() ->\n",
     "bad_cd_symbol": _OK + "cd S\n",
     "restrict_needs_backbone": _OK + "restrict\n",
     "restricted_feature_undeclared": _OK + "restrict s f\n",
@@ -124,6 +125,8 @@ ERROR_CASES: dict[str, str] = {
     "duplicate_rule_name": _OK + "rule r : s() ->\n",
     "lex_needs_word": _OK + "lex\n",
     "lex_trailing": _OK + "lex x : s() y\n",
+    "lex_word_with_space": _OK + "lex 'new york' : s()\n",
+    "lex_word_empty": _OK + "lex '' : s()\n",
     "word_needs_lf": _OK + "lex '_x' : s()\n",
     "sem_needs_name": _OK + "sem\n",
     "sem_trailing": _OK + "sem r : a b\n",
