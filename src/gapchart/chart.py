@@ -2,9 +2,10 @@
 
 Edges pack derivations: a new derivation whose category is an
 alphabetic variant of an edge's over the same span joins that edge
-instead of growing the chart. A more general or more specific category
-is a new edge, so every derivation of an edge has exactly the edge's
-category and its trees can be read off without re-unifying. Above
+instead of growing the chart, unless the edge holds a derivation with
+its key. A more general or more specific category is a new edge, so
+every derivation of an edge has exactly the edge's category and its
+trees can be read off without re-unifying. Above
 `syn` an edge carries one reading, and a derivation packs only into an
 edge whose reading has the same render, so every reading is its own
 edge and reaches every parent built over it. Edges are grouped by span,
@@ -47,12 +48,12 @@ T = TypeVar("T")
 class Derivation:
     """One way an edge was built: a word, an empty rule, or a reduction.
 
-    Its packing `key` (kind, rule name, word and daughter ids) is built
-    once, here: an edge keeps one derivation per key. An edge's first
+    Two derivations are the same when their `key`s are equal: the kind,
+    the rule name, the word and the daughters' ids. An edge's first
     derivation is the one it was made with, so its daughters were in the
     chart before the edge and have smaller ids."""
 
-    __slots__ = ("kind", "rule", "word", "daughters", "key")
+    __slots__ = ("kind", "rule", "word", "daughters")
 
     def __init__(self, kind: str, rule: Rule | None = None, word: str | None = None,
                  daughters: tuple[Edge, ...] = ()):
@@ -60,8 +61,13 @@ class Derivation:
         self.rule = rule
         self.word = word
         self.daughters = daughters
-        self.key = (kind, None if rule is None else rule.name, word,
-                    tuple([d.id for d in daughters]))
+
+    @property
+    def key(self) -> tuple:
+        """The packing key, made on each call. It holds ids, not edges,
+        so it is a tuple of atoms, which the cyclic GC stops tracking."""
+        return (self.kind, None if self.rule is None else self.rule.name, self.word,
+                tuple([d.id for d in self.daughters]))
 
     def __repr__(self) -> str:
         return f"Derivation{self.key!r}"
@@ -70,7 +76,11 @@ class Derivation:
 class Edge:
     """A span with a category, packed derivations, and the one reading
     they share (None at `syn`). `backbone` is the category's, kept on
-    the edge when it is made."""
+    the edge when it is made.
+
+    Most edges are only ever offered one derivation, so an edge makes
+    the set of its derivations' keys only when a second one is offered,
+    and looks every later offer up in it."""
 
     __slots__ = ("id", "start", "end", "cat", "backbone", "derivations", "reading",
                  "_deriv_keys")
@@ -84,13 +94,17 @@ class Edge:
         self.backbone = cat.backbone
         self.derivations: list[Derivation] = []
         self.reading = reading
-        self._deriv_keys: set[tuple] = set()
+        self._deriv_keys: set[tuple] | None = None
 
     def add_derivation(self, d: Derivation) -> bool:
+        """Add `d` unless the edge holds a derivation with its key."""
+        keys = self._deriv_keys
+        if keys is None:
+            keys = self._deriv_keys = {x.key for x in self.derivations}
         key = d.key
-        if key in self._deriv_keys:
+        if key in keys:
             return False
-        self._deriv_keys.add(key)
+        keys.add(key)
         self.derivations.append(d)
         return True
 
@@ -257,7 +271,7 @@ class Chart:
                 added = other.add_derivation(derivation)
                 return other, ("packed" if added else "duplicate")
         edge = Edge(len(self.edges) + 1, start, end, cat, reading)
-        edge.add_derivation(derivation)
+        edge.derivations.append(derivation)  # the first derivation needs no key
         self.edges.append(edge)
         self._by_end[end].append(edge)
         peers.append(edge)

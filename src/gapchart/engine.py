@@ -11,15 +11,17 @@ One loop processes edges. An edge makes its predictions, and its
 search for reductions is one generator, pushed on an explicit stack.
 The search runs through the reduction triggers of the edge's backbone
 (each carries the rule's daughters already sliced around the edge's
-position). One matcher extends the daughters matched so far: first by
-the trailing daughters, left to right, against the empty edges at the
-edge's end, then by the tail daughters, right to left, against the
-edges ending where the match begins. The edge of each reading of a
-match goes into the chart in place. Each new edge is yielded at once:
-it makes its predictions and its own search goes on top of the stack,
-so it is reduced before the search that found it resumes. The edge
-lists a search runs over are live, so a resumed search sees the edges
-added meanwhile. The order is that of the depth-first recursion, and the
+position). A binary trigger, with one tail daughter and no trailing
+ones, is matched in the search's own loop over the edges ending where
+the edge starts. One matcher serves every other shape: it extends the
+daughters matched so far, first by the trailing daughters, left to
+right, against the empty edges at the edge's end, then by the tail
+daughters, right to left, against the edges ending where the match
+begins. The edge of each reading of a match goes into the chart in
+place. Each new edge is yielded at once: it makes its predictions and
+its own search goes on top of the stack, so it is reduced before the
+search that found it resumes. The edge lists a search runs over are
+live, so a resumed search sees the edges added meanwhile. The order is that of the depth-first recursion, and the
 depth of Python's stack does not grow with the input.
 
 The chart grows strictly left to right. Scanning word p-1 and closing
@@ -467,9 +469,12 @@ class _Parser:
                 self._predict(e.end, tuple([resolve(t, binds) for t in seq[1:]]))
 
     def _make_new_predictions(self, e: Edge) -> None:
-        # advance sequences this edge begins
-        for seq in list(self.chart.predictions[e.start]):
-            self._advance(seq, e)
+        # advance sequences this edge begins; the copy keeps out those
+        # predicted meanwhile at the same position (when `e` is empty)
+        seqs = self.chart.predictions[e.start]
+        if seqs:
+            for seq in list(seqs):
+                self._advance(seq, e)
         # fire compiled first-daughter entries; a bare trigger matches
         # every edge of its backbone, and a ground sequence is its own copy
         for entry in self.tables.entries.get(e.backbone, ()):
@@ -499,31 +504,53 @@ class _Parser:
 
     def _find_new_reductions(self, e: Edge) -> Iterator[Edge]:
         """Yield each new edge that `e` completes as soon as it is in the
-        chart, with `e` as the daughter a reduction trigger names and the
-        other daughters matched by `_match`. A bare daughter (a closed
-        one) matches every edge of its backbone and binds nothing, so it
-        is not unified; a ground head is its own copy, and a
-        context-independent one needs no licence."""
-        end = e.end
+        chart, with `e` as the daughter a reduction trigger names. A
+        binary trigger's other daughter is matched in this loop, over the
+        edges ending where `e` starts; `_match` matches the other
+        daughters of every other shape. A bare daughter (a closed one)
+        matches every edge of its backbone and is not unified; a ground
+        head is its own copy, and a context-independent one needs no
+        licence."""
+        start, end = e.start, e.end
         syn = self.depth == SYN
-        for rule, daughter, tail, trailing, head_ci in \
+        chart = self.chart
+        for rule, daughter, tail, trailing, head_ci, binary in \
                 self.tables.reduction_triggers.get(e.backbone, ()):
-            if trailing and not self.chart.empty_edges_at(end):
+            if trailing and not chart.empty_edges_at(end):
                 continue
             binds: dict = {}
             if daughter.feats:
                 binds = unify_values(daughter, e.cat, binds)
                 if binds is None:
                     continue
-            matches = (self._match(trailing, tail, binds, (e,)) if trailing or tail
-                       else ((binds, (e,)),))
+            if binary:
+                (left,) = tail
+                backbone = left.backbone
+                matches = chart.edges_ending_at(start)  # live, as in `_match`
+            elif trailing or tail:
+                matches = self._match(trailing, tail, binds, (e,))
+            else:
+                matches = ((binds, (e,)),)
             head = rule.head
-            for binds, daughters in matches:
+            for match in matches:
+                if not binary:
+                    b, daughters = match
+                elif match.backbone != backbone:
+                    continue
+                else:
+                    b = binds
+                    if left.feats:
+                        # an empty edge matched again is a renamed copy
+                        b = unify_values(left, refresh(match.cat, {}) if match is e
+                                         else match.cat, binds)
+                        if b is None:
+                            continue
+                    daughters = (match, e)
                 span_start = daughters[0].start
                 if not head_ci and not self._licensed(head.backbone, span_start):
                     continue
                 # the rename keeps the rule's own variables out of the chart
-                head_cat = head if head.ground else refresh(resolve(head, binds), {})
+                head_cat = head if head.ground else refresh(resolve(head, b), {})
                 if syn:
                     readings = (None,)
                 else:

@@ -52,13 +52,16 @@ class ReductionTrigger(NamedTuple):
     nullable daughters `trailing` (matched by empty edges in place).
     The daughters are the rule's as compiled: a closed one is its bare
     backbone (see `Rule.compiled_rhs`). `head_ci` says the rule's head
-    is context-independent, so every match is licensed."""
+    is context-independent, so every match is licensed. `binary` says
+    the trigger has one tail daughter and no trailing ones, the shape
+    the engine matches in one loop."""
 
     rule: Rule
     daughter: FeatureTerm
     tail: tuple[FeatureTerm, ...]
     trailing: tuple[FeatureTerm, ...]
     head_ci: bool
+    binary: bool
 
 
 @dataclass
@@ -121,7 +124,8 @@ def _reduction_triggers(
         for pos in range(n - 1, -1, -1):
             if pos < n - 1 and rhs[pos + 1].backbone not in nullable:
                 break
-            trigger = ReductionTrigger(rule, rhs[pos], rhs[:pos], rhs[pos + 1:], head_ci)
+            trigger = ReductionTrigger(rule, rhs[pos], rhs[:pos], rhs[pos + 1:], head_ci,
+                                       binary=pos == 1 and n == 2)
             out.setdefault(rhs[pos].backbone, []).append(trigger)
     return {b: tuple(ts) for b, ts in out.items()}
 

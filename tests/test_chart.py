@@ -93,17 +93,33 @@ def test_distinct_ground_cats_are_separate_edges(chart):
 
 def test_outcomes_match_a_variant_scan_of_every_edge(chart):
     # the reference packs into the first edge over the same span, with a
-    # variant category and the same render, whatever the grouping
+    # variant category and the same render, whatever the grouping, and
+    # an edge's derivations are told apart by their keys: lexical and
+    # empty ones with the same word, empty ones by rule, and reductions
+    # over edges already in the chart, one edge used twice among them
     rng = random.Random(5)
     values = ["sg", "pl", FeatureTerm("c"), FeatureTerm("c", (("k", "v"),))]
+    rules = parse_grammar(MINI + "rule v : np() -> np() np()\n").rules
     kinds = set()
-    for _ in range(600):
+    derived = set()
+    for _ in range(1000):
         agr = rng.choice(values + [Var("A"), FeatureTerm("c", (("k", Var("K")),))])
         cat = FeatureTerm(rng.choice(["np", "vp"]),
                           [("agr", agr)] if rng.random() < 0.8 else [])
         start = rng.randint(0, 1)
         reading = FakeReading(rng.choice(["r1", "r2"])) if rng.random() < 0.3 else None
-        derivation = lex(rng.choice("wv"))
+        kind = rng.choice(["lex", "empty", "empty", "rule"] if chart.edges else ["lex"])
+        if kind == "lex":
+            derivation = lex(rng.choice("wv"))
+        elif kind == "rule":
+            daughters = tuple(rng.choice(chart.edges[:3]) for _ in range(rng.randint(1, 2)))
+            derivation = Derivation("rule", rule=rng.choice(rules), daughters=daughters)
+        elif rng.random() < 0.5:
+            derivation = Derivation("empty", word=rng.choice("wv"))
+        else:
+            derivation = Derivation("empty", rule=rng.choice(rules))
+        assert derivation.key == (derivation.kind, derivation.rule and derivation.rule.name,
+                                  derivation.word, tuple(d.id for d in derivation.daughters))
         peer = next((e for e in chart.edges
                      if (e.start, e.end) == (start, 2) and variants(e.cat, cat)
                      and (e.reading and e.reading.render) == (reading and reading.render)),
@@ -115,10 +131,20 @@ def test_outcomes_match_a_variant_scan_of_every_edge(chart):
         else:
             expected = "packed"
         edge, outcome = chart.add_edge(start, 2, cat, derivation, reading)
-        assert outcome == expected, (cat, reading and reading.render)
+        assert outcome == expected, (cat, reading and reading.render, derivation)
         assert edge is (chart.edges[-1] if peer is None else peer)
         kinds.add((cat.ground, outcome))
+        shape = ("twice" if len(set(derivation.daughters)) < len(derivation.daughters)
+                 else "rule" if derivation.rule else "word")
+        derived.add((derivation.kind, shape, outcome))
     assert kinds == {(g, o) for g in (True, False) for o in ("new", "packed", "duplicate")}
+    assert derived >= {(k, s, o) for k, s in [("lex", "word"), ("empty", "word"),
+                                             ("empty", "rule"), ("rule", "rule"),
+                                             ("rule", "twice")]
+                       for o in ("new", "packed", "duplicate")}
+    # the kind is part of the key: one word packs as lexical and as empty
+    assert any({d.kind for d in e.derivations if d.word == w} == {"lex", "empty"}
+               for e in chart.edges for w in "wv")
 
 
 @pytest.mark.parametrize("word", ["w", "v"], ids=["same-derivation", "other-derivation"])

@@ -263,6 +263,7 @@ def test_triggers_and_entries_hold_the_compiled_daughters(toy_grammar):
                 assert (t.daughter, t.tail, t.trailing) == (rhs[k], rhs[:k], rhs[k + 1:])
                 assert t.daughter.backbone == backbone
                 assert t.head_ci == (t.rule.head.backbone not in tables.cd)
+                assert t.binary == (k == 1 and not t.trailing)
         for entries in tables.entries.values():
             for e in entries:
                 assert e.trigger == e.rule.compiled_rhs[0]
@@ -275,13 +276,14 @@ def test_triggers_and_entries_hold_the_compiled_daughters(toy_grammar):
 
 def _uncompiled(tables):
     """The tables with nothing decided at compile time: every daughter
-    open, no predicted sequence known to be ground and no head known to
-    be context-independent."""
+    open, no predicted sequence known to be ground, no head known to be
+    context-independent and no trigger known to be binary, so that
+    `_Parser._match` matches every trigger."""
 
     def trigger(t):
         rhs, k = t.rule.rhs, len(t.tail)
         return t._replace(daughter=rhs[k], tail=rhs[:k], trailing=rhs[k + 1:],
-                          head_ci=False)
+                          head_ci=False, binary=False)
 
     return dataclasses.replace(
         tables,
