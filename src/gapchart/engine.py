@@ -4,8 +4,16 @@ Bottom-up chart parsing over a context-independent backbone, with
 predictions licensing the context-dependent categories. Each word's
 lexical edges go in unconditionally; every new edge immediately makes
 its predictions and then searches for reductions it completes, with new
-edges processed depth-first as they are found. Empty categories are
-added to a fixpoint at every string position.
+edges processed depth-first as they are found.
+
+Each string position is closed under the empty rules in passes: a pass
+offers every empty rule, and a pass after the first first processes
+every empty edge at the position again. A position is examined again
+exactly when a pass made a prediction there. That is exact: while p is
+closed, only empty edges start at p, and every other edge ending at p
+starts at a finished position, so its licence and the sequences it
+advances are final; only a prediction made at p can change what an edge
+at p may build, and the next pass meets it.
 
 One loop processes edges. An edge makes its predictions, and its
 search for reductions is one generator, pushed on an explicit stack.
@@ -430,9 +438,17 @@ class _Parser:
                 stack.append(self._find_new_reductions(nxt))
 
     def _empty_fixpoint(self, pos: int) -> None:
-        changed = True
-        while changed:
-            changed = False
+        """Close `pos` under the empty rules, in passes: a pass offers
+        every empty rule, a pass after the first first processes the empty
+        edges at `pos` again, and the first pass that predicts nothing at
+        `pos` ends the closure (the module docstring says why that is
+        exact)."""
+        seqs = self.chart.predictions[pos]
+        again: list[Edge] = []
+        while True:
+            made = len(seqs)
+            for edge in again:
+                self._process(edge)
             for rule in self.tables.empty_rules:
                 if not self._licensed(rule.head.backbone, pos):
                     continue
@@ -442,8 +458,10 @@ class _Parser:
                 for reading in readings:
                     edge = self._add(pos, pos, head, derivation, reading)
                     if edge is not None:
-                        changed = True
                         self._process(edge)
+            if len(seqs) == made:
+                return
+            again = self.chart.empty_edges_at(pos)
 
     # -- predictions ---------------------------------------------------
 
@@ -452,29 +470,16 @@ class _Parser:
         if self.trace is not None and outcome != "duplicate":
             event = "ADD-PRED" if outcome == "ok" else "REJECT\tlookahead"
             self._say(event, pos, canonical_seq(seq))
-        if outcome == "ok" and len(seq) > 1:
-            # the empty edges already here were processed before this
-            # sequence existed, so advance it over them now
-            seq = self.chart.predictions[pos][-1]
-            for e in self.chart.empty_edges_at(pos):
-                self._advance(seq, e)
-
-    def _advance(self, seq: tuple[FeatureTerm, ...], e: Edge) -> None:
-        """Predict the rest of `seq` at `e.end` if there is a rest and `e`
-        can be the first element; backbones are compared before anything
-        is unified."""
-        if len(seq) > 1 and seq[0].backbone == e.backbone:
-            binds = unify_values(seq[0], e.cat, {})
-            if binds is not None:
-                self._predict(e.end, tuple([resolve(t, binds) for t in seq[1:]]))
 
     def _make_new_predictions(self, e: Edge) -> None:
-        # advance sequences this edge begins; the copy keeps out those
-        # predicted meanwhile at the same position (when `e` is empty)
-        seqs = self.chart.predictions[e.start]
-        if seqs:
-            for seq in list(seqs):
-                self._advance(seq, e)
+        # predict the rest of each sequence this edge can begin, comparing
+        # backbones before unifying; the list is live, and an empty edge
+        # meets the sequences predicted after it in the next closure pass
+        for seq in self.chart.predictions[e.start]:
+            if len(seq) > 1 and seq[0].backbone == e.backbone:
+                binds = unify_values(seq[0], e.cat, {})
+                if binds is not None:
+                    self._predict(e.end, tuple([resolve(t, binds) for t in seq[1:]]))
         # fire compiled first-daughter entries; a bare trigger matches
         # every edge of its backbone, and a ground sequence is its own copy
         for entry in self.tables.entries.get(e.backbone, ()):

@@ -212,9 +212,8 @@ def normalize_deferred(
             if not pruned:
                 return None
             if len(pruned) == 1:
+                # `pruned` holds what unifies under these `binds`
                 binds = unify_sorts(a.slot, pruned[0], binds)
-                if binds is None:
-                    return None
                 committed = True
                 continue
             survivors.append(DeferredAssignment(a.atom, a.slot, pruned))

@@ -449,27 +449,15 @@ def limit_disagreements(seed: int) -> Iterator[tuple[str, list[str]]]:
 
 # Every seed of 0-199 and 1000-1299 that disagreed with the oracle while
 # the chart still packed derivations into more general edges and replaced
-# more specific ones, and 1428, the one seed of 1300-1699 that loses trees.
+# more specific ones, and 1428, the one seed of 1300-1699 that did. 1070
+# and 1428 lost trees while an empty edge reduced before the prediction
+# that licenses its parent was never reduced again.
 REGRESSION_SEEDS = (49, 66, 82, 114, 115, 139, 145, 151, 158, 177, 1001, 1040,
                     1042, 1046, 1055, 1070, 1091, 1150, 1161, 1167, 1191, 1218,
                     1221, 1250, 1285, 1289, 1428)
-LOST_TO_EDGE_ORDER = {
-    1070: pytest.mark.xfail(reason=(
-        "ROADMAP item 1: under llc and lc an edge processed before the prediction "
-        "that licenses its parent is never reduced again, so (r2 (r4)) is lost")),
-    1428: pytest.mark.xfail(reason=(
-        "ROADMAP item 1: under lc the empty edge at position 1 is processed before "
-        "b() and a() are predicted there, so the empty (r4 (r6)) after the first "
-        "word is never built and trees such as "
-        "(r1 (r5 z (r6)) (r2 (r6) (r4 (r6))) (r2 (r6) (r4 (r6)))) are lost")),
-}
 
 
-@pytest.mark.parametrize("seed", [
-    *range(24),
-    *(pytest.param(s, marks=LOST_TO_EDGE_ORDER[s]) if s in LOST_TO_EDGE_ORDER else s
-      for s in REGRESSION_SEEDS),
-])
+@pytest.mark.parametrize("seed", [*range(24), *REGRESSION_SEEDS])
 def test_generated_grammar_forest_matches_exhaustive_oracle(seed):
     assert list(disagreements(seed)) == []
 
@@ -509,6 +497,13 @@ MINIMAL_GRAMMARS = [
         "start s()\nrule r : s() -> p() q() e() e()\nrule re : e() ->\nlex w : p()\n"
         "lex v : q()\n", "w v", ["(r w v (re) (re))"],
         id="tail-and-trailing-daughters"),
+    # with `ra` before `rc`, the empty `e` at 1 is offered to `ra` before
+    # the `c` it completes predicts `a` there; only processing `e` again
+    # builds `ra` (in the other order the parent happens to find it)
+    pytest.param(
+        "start s()\ncd a\nrule rs : s() -> c() a()\nrule ra : a() -> e()\n"
+        "rule rc : c() -> x() e()\nrule re : e() ->\nlex w : x()\n", "w",
+        ["(rs (rc w (re)) (ra (re)))"], id="licence-after-empty-edge-at-its-position"),
 ]
 
 

@@ -41,6 +41,30 @@ def test_veto_emits_trace_events(sorts_grammar):
     assert vetoes and all("s1" in v for v in vetoes)
 
 
+LEXICAL_VETO = """
+start s()
+rule r : s() -> w()
+sem r : D1
+lex bad : w() -> [f, a]
+lex good : w() -> [f, b]
+sort f : (e -> t)
+sort a : t
+sort b : e
+"""
+
+
+def test_an_ill_sorted_lexical_entry_builds_no_edge():
+    g = parse_grammar(LEXICAL_VETO)
+    for depth in ("sorts", "deferred"):
+        events = []
+        r = parse(g, ["bad"], depth=depth, trace=events.append)
+        assert r.chart.edges == [], depth
+        assert "REJECT\tveto\tlex:bad\t0\t1" in events, depth
+        assert parse(g, ["good"], depth=depth).trees() == ["(r good)"], depth
+    # `sem` checks no sorts, so the entry gets its lexical edge
+    assert parse(g, ["bad"], depth="sem").trees() == ["(r bad)"]
+
+
 def test_immediate_sort_checking_splits_edges(sorts_grammar):
     r = parse(sorts_grammar, tokenize("the pilot flies"), depth="sorts")
     v_edges = [e for e in r.chart.edges if e.backbone == "v"]
