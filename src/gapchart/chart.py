@@ -3,16 +3,18 @@
 Edges pack derivations: a new derivation whose category is an
 alphabetic variant of an edge's over the same span joins that edge
 instead of growing the chart, unless the edge holds a derivation with
-its key. A more general or more specific category is a new edge, so
-every derivation of an edge has exactly the edge's category and its
-trees can be read off without re-unifying. Above
+the same `Derivation.key`. A more general or more specific category is
+a new edge, so every derivation of an edge has exactly the edge's
+category and its trees can be read off without re-unifying. Above
 `syn` an edge carries one reading, and a derivation packs only into an
 edge whose reading has the same render, so every reading is its own
-edge and reaches every parent built over it. Edges are grouped by span,
-backbone and reading render; a ground category (one without variables)
-is grouped by the category itself, since its only variant is an equal
-term, so its group holds at most one edge and packs without a variant
-test.
+edge and reaches every parent built over it. So an edge has one
+packing key, its span, its category's variant class and its reading's
+render, and the chart maps each key to its one edge. The variant class
+of a category is its canonical render (two terms are variants exactly
+when their renders are equal); a ground category (one without
+variables) is its own class, since its only variant is an equal term,
+so it is keyed by the category itself and never rendered.
 
 `ForestFold` folds the packed forest below an edge bottom-up, cutting
 cycles (which close within one span); tree counts and dispreference are folds.
@@ -39,7 +41,6 @@ from .terms import (
     canonical,
     canonical_seq,
     seq_subsumes,
-    variants,
 )
 
 T = TypeVar("T")
@@ -64,8 +65,9 @@ class Derivation:
 
     @property
     def key(self) -> tuple:
-        """The packing key, made on each call. It holds ids, not edges,
-        so it is a tuple of atoms, which the cyclic GC stops tracking."""
+        """What tells two derivations of one edge apart, made on each
+        call. It holds ids, not edges, so it is a tuple of atoms, which
+        the cyclic GC stops tracking."""
         return (self.kind, None if self.rule is None else self.rule.name, self.word,
                 tuple([d.id for d in self.daughters]))
 
@@ -220,7 +222,6 @@ class Chart:
         strictly left to right, so the positions a chart takes over are
         never changed again, in it or in `base`."""
         n_words = len(words)
-        self.n_words = n_words
         self.words = words
         self.tables = tables
         self.lookahead = lookahead
@@ -230,9 +231,10 @@ class Chart:
         }
         self._first_backbones: dict[int, set[str]] = {i: set() for i in range(n_words + 1)}
         self._by_end: dict[int, list[Edge]] = {i: [] for i in range(n_words + 1)}
-        # edges only ever go in at the growing end of a chart, so a
-        # chart's groups need not hold the edges it takes over
-        self._by_group: dict[tuple, list[Edge]] = {}
+        # each edge under its packing key (see `add_edge`); edges only
+        # ever go in at the growing end of a chart, so a chart's keys
+        # need not hold the edges it takes over
+        self._by_key: dict[tuple, Edge] = {}
         for i in range(resume_at):
             self.predictions[i] = base.predictions[i]
             self._first_backbones[i] = base._first_backbones[i]
@@ -258,23 +260,20 @@ class Chart:
                  reading: Reading | None = None) -> tuple[Edge, str]:
         """Insert a derivation with its reading (None at `syn`); returns
         (edge, outcome) where outcome is "new", "packed", or
-        "duplicate". A derivation packs into an edge whose category is a
-        variant of `cat` and whose reading has the same render. A ground
-        category's only variant is itself, so it is its own group."""
-        group = (start, end, cat if cat.ground else cat.backbone,
-                 None if reading is None else reading.render)
-        peers = self._by_group.get(group)
-        if peers is None:
-            peers = self._by_group[group] = []
-        for other in peers:
-            if cat.ground or variants(other.cat, cat):
-                added = other.add_derivation(derivation)
-                return other, ("packed" if added else "duplicate")
-        edge = Edge(len(self.edges) + 1, start, end, cat, reading)
+        "duplicate". A derivation packs into the edge with its packing
+        key: the span, the variant class of `cat` (its canonical render,
+        or a ground category itself, its only variant) and the reading's
+        render."""
+        key = (start, end, cat if cat.ground else canonical(cat),
+               None if reading is None else reading.render)
+        other = self._by_key.get(key)
+        if other is not None:
+            added = other.add_derivation(derivation)
+            return other, ("packed" if added else "duplicate")
+        edge = self._by_key[key] = Edge(len(self.edges) + 1, start, end, cat, reading)
         edge.derivations.append(derivation)  # the first derivation needs no key
         self.edges.append(edge)
         self._by_end[end].append(edge)
-        peers.append(edge)
         return edge, "new"
 
     def edges_ending_at(self, end: int) -> list[Edge]:

@@ -69,16 +69,16 @@ Above `syn` an edge carries one reading: a derivation with several
 readings goes into the chart once per reading, and each reading edge
 is reduced on its own, so every reading reaches every parent.
 
-Semantic work is memoised on the compiled tables, so every parse made
-with one set of tables shares it, and a grammar keeps one set per
-strategy for the parses that pass none: a lexical entry's readings are
-keyed by word, entry and depth, and a reading combination by rule,
-depth and the render of each daughter's reading. A full memo evicts
-its least recently used entry. Every use, the first included, puts
-renamed copies into the chart (a reading without variables is its own
-copy, as a ground category is), so no two readings of a chart share a
-variable, and no two daughters of one combination do; that is what
-makes the key exact.
+Semantic work above `syn` (where every reading is None) is memoised on
+the compiled tables, so every parse made with one set of tables shares
+it, and a grammar keeps one set per strategy for the parses that pass
+none: a lexical entry's readings are keyed by word, entry and depth,
+and a reading combination by rule, depth and the render of each
+daughter's reading. A full memo evicts its least recently used entry.
+Every use, the first included, puts renamed copies into the chart (a
+reading without variables is its own copy, as a ground category is),
+so no two readings of a chart share a variable, and no two daughters
+of one combination do; that is what makes the key exact.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from .chart import Chart, Derivation, Edge, ForestFold
 from .grammar import Grammar, Rule
@@ -371,7 +371,8 @@ class _Parser:
             self._say("SKIP", i, word)
         for index, entry in enumerate(entries):
             cat = refresh(entry.cat, {})
-            readings = self._recall((word, index, self.depth), lexical_instance, entry)
+            readings = ((None,) if self.depth == SYN else
+                        self._recall((word, index, self.depth), lexical_instance, entry))
             if readings == []:
                 self._say("REJECT", "veto", f"lex:{word}", i, i + 1)
                 continue
@@ -383,21 +384,21 @@ class _Parser:
 
     # -- memoised semantics ----------------------------------------------
 
-    def _recall(self, key: tuple, compute: Callable, *args: object) -> Sequence[Reading | None]:
-        """The memoised `compute(grammar, *args, depth)`, as renamed
-        copies of the stored readings; at `syn`, where `compute` gives
-        None, one reading that is None. The memo is kept in order of
+    def _recall(self, key: tuple, compute: Callable, *args: object) -> list[Reading]:
+        """The memoised `compute(grammar, *args, depth)` above `syn`, as
+        renamed copies of the stored readings (at `syn` the callers take
+        one reading, None, and never ask). The memo is kept in order of
         use, so a full one drops its least recently used entry."""
         memo = self.tables.memo
-        got = memo.pop(key, memo)  # None is a value: syn has no readings
-        if got is memo:
+        got = memo.pop(key, None)
+        if got is None:
             if len(memo) >= MEMO_LIMIT:
                 del memo[next(iter(memo))]
             got = compute(self.grammar, *args, self.depth)
         memo[key] = got
-        return (None,) if got is None else [r.renamed() for r in got]
+        return [r.renamed() for r in got]
 
-    def _combine(self, rule: Rule, daughters: tuple[Edge, ...]) -> Sequence[Reading]:
+    def _combine(self, rule: Rule, daughters: tuple[Edge, ...]) -> list[Reading]:
         """The readings of a phrase above `syn` (the caller knows that
         `syn` has one, None); none for a veto."""
         # an edge that fills two daughter positions (an empty edge can)

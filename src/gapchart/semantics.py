@@ -292,11 +292,11 @@ def _live_choices(choices: tuple[DeferredAssignment, ...],
 
 
 def lexical_instance(grammar: Grammar, entry: LexEntry,
-                     depth: str) -> list[Reading] | None:
-    """Fresh readings for one lexical entry; None at `syn`. The entry's
-    category is not part of them: callers rename it themselves."""
-    if depth == SYN:
-        return None
+                     depth: str) -> list[Reading]:
+    """Fresh readings for one lexical entry at a depth above `syn`
+    (where a word has no reading, and the parser never asks). The
+    entry's category is not part of them: callers rename it
+    themselves."""
     mapping: dict[Var, Var] = {}
     lf = refresh(entry.lf, mapping)
     semterm = refresh(entry.semterm, mapping)

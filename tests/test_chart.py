@@ -93,19 +93,28 @@ def test_distinct_ground_cats_are_separate_edges(chart):
 
 def test_outcomes_match_a_variant_scan_of_every_edge(chart):
     # the reference packs into the first edge over the same span, with a
-    # variant category and the same render, whatever the grouping, and
-    # an edge's derivations are told apart by their keys: lexical and
+    # variant category and the same render, whatever the key, and an
+    # edge's derivations are told apart by their keys: lexical and
     # empty ones with the same word, empty ones by rule, and reductions
-    # over edges already in the chart, one edge used twice among them
+    # over edges already in the chart, one edge used twice among them;
+    # the two values of a `pp` share one variable, hold two, or mix a
+    # variable and an atom, so a key must tell variables apart
     rng = random.Random(5)
     values = ["sg", "pl", FeatureTerm("c"), FeatureTerm("c", (("k", "v"),))]
     rules = parse_grammar(MINI + "rule v : np() -> np() np()\n").rules
     kinds = set()
     derived = set()
+    shared = set()
     for _ in range(1000):
-        agr = rng.choice(values + [Var("A"), FeatureTerm("c", (("k", Var("K")),))])
-        cat = FeatureTerm(rng.choice(["np", "vp"]),
-                          [("agr", agr)] if rng.random() < 0.8 else [])
+        pattern = rng.choice(["XX", "XY", "Xs", "sX"]) if rng.random() < 0.25 else None
+        if pattern:
+            x = Var("X")
+            a, b = [{"X": x, "Y": Var("Y"), "s": "sg"}[p] for p in pattern]
+            cat = FeatureTerm("pp", (("a", a), ("b", b)))
+        else:
+            agr = rng.choice(values + [Var("A"), FeatureTerm("c", (("k", Var("K")),))])
+            cat = FeatureTerm(rng.choice(["np", "vp"]),
+                              [("agr", agr)] if rng.random() < 0.8 else [])
         start = rng.randint(0, 1)
         reading = FakeReading(rng.choice(["r1", "r2"])) if rng.random() < 0.3 else None
         kind = rng.choice(["lex", "empty", "empty", "rule"] if chart.edges else ["lex"])
@@ -134,10 +143,14 @@ def test_outcomes_match_a_variant_scan_of_every_edge(chart):
         assert outcome == expected, (cat, reading and reading.render, derivation)
         assert edge is (chart.edges[-1] if peer is None else peer)
         kinds.add((cat.ground, outcome))
+        if pattern:
+            shared.add((pattern, outcome))
         shape = ("twice" if len(set(derivation.daughters)) < len(derivation.daughters)
                  else "rule" if derivation.rule else "word")
         derived.add((derivation.kind, shape, outcome))
     assert kinds == {(g, o) for g in (True, False) for o in ("new", "packed", "duplicate")}
+    assert shared == {(p, o) for p in ("XX", "XY", "Xs", "sX")
+                      for o in ("new", "packed", "duplicate")}
     assert derived >= {(k, s, o) for k, s in [("lex", "word"), ("empty", "word"),
                                              ("empty", "rule"), ("rule", "rule"),
                                              ("rule", "twice")]

@@ -444,6 +444,20 @@ def test_a_second_tree_is_linear_in_the_depth(text, fold_calls):
     assert parse(g, ["x"] * 2000 + ["y"]).trees() == spine_trees(2000)
 
 
+def test_a_pp_chain_keeps_fewer_than_15_gc_tracked_objects_per_edge(ambig_grammar):
+    # each object the cyclic GC tracks is walked by every full collection,
+    # so a chart's collections cost what its tracked objects per edge do
+    words = tokenize("the man saw the dog" + " in the park" * 30)
+    parse(ambig_grammar, words)  # compiles and warms the tables
+    gc.collect()
+    before = len(gc.get_objects())
+    r = parse(ambig_grammar, words)
+    gc.collect()
+    per_edge = (len(gc.get_objects()) - before) / r.chart.edges_created
+    assert r.chart.edges_created == 1119
+    assert per_edge < 15
+
+
 def test_no_readings_at_syntax_depth(toy_grammar):
     r = parse(toy_grammar, tokenize("the pilots land"))
     assert r.complete_readings() == []

@@ -289,8 +289,11 @@ def test_a_second_rescore_call_shares_the_first_calls_semantic_work(monkeypatch,
     warm_misses, misses[0] = misses[0], 0
     fresh_rows = rescore(load_grammar(data_path("fragments.gram")), second, depth=depth)
     assert [r.row() for r in warm_rows] == [r.row() for r in fresh_rows]
-    # at `syn` only the lexical lookups are memoised
-    assert warm_misses < misses[0]
+    if depth == "syn":
+        # a word or phrase has no reading to compute at `syn`
+        assert warm_misses == misses[0] == 0
+    else:
+        assert warm_misses < misses[0]
 
 
 @pytest.mark.parametrize("depth", ("syn", "sem"))
