@@ -14,7 +14,8 @@ render, and the chart maps each key to its one edge. The variant class
 of a category is its canonical render (two terms are variants exactly
 when their renders are equal); a ground category (one without
 variables) is its own class, since its only variant is an equal term,
-so it is keyed by the category itself and never rendered.
+so it is keyed by the category itself and never rendered. An edge keeps
+its class (`Edge.cls`), which keys the engine's class memo.
 
 `ForestFold` folds the packed forest below an edge bottom-up, cutting
 cycles (which close within one span); tree counts and dispreference are folds.
@@ -22,6 +23,10 @@ cycles (which close within one span); tree counts and dispreference are folds.
 Predictions are sequences of restricted categories anticipated at a
 string position. Adding one applies the restrictor, the one-word
 lookahead filter, and a subsumption check against existing sequences.
+A stored sequence licenses, at its position, every backbone that can
+begin its first backbone (the grammar's inverse left-corner table,
+`Grammar.analysis.corners`); a position's set of licensed backbones is
+made with its first stored sequence.
 
 Edges and predictions are kept per string position (an edge at its
 end position), so a new chart can take over the leading positions of a
@@ -44,6 +49,8 @@ from .terms import (
 )
 
 T = TypeVar("T")
+
+_NO_BACKBONES: frozenset[str] = frozenset()
 
 
 class Derivation:
@@ -77,23 +84,25 @@ class Derivation:
 
 class Edge:
     """A span with a category, packed derivations, and the one reading
-    they share (None at `syn`). `backbone` is the category's, kept on
-    the edge when it is made.
+    they share (None at `syn`). `backbone` is the category's, and `cls`
+    its variant class (see `Chart.add_edge`), both kept on the edge when
+    it is made.
 
     Most edges are only ever offered one derivation, so an edge makes
     the set of its derivations' keys only when a second one is offered,
     and looks every later offer up in it."""
 
-    __slots__ = ("id", "start", "end", "cat", "backbone", "derivations", "reading",
+    __slots__ = ("id", "start", "end", "cat", "backbone", "cls", "derivations", "reading",
                  "_deriv_keys")
 
     def __init__(self, eid: int, start: int, end: int, cat: FeatureTerm,
-                 reading: Reading | None):
+                 cls: FeatureTerm | str, reading: Reading | None):
         self.id = eid
         self.start = start
         self.end = end
         self.cat = cat
         self.backbone = cat.backbone
+        self.cls = cls
         self.derivations: list[Derivation] = []
         self.reading = reading
         self._deriv_keys: set[tuple] | None = None
@@ -229,7 +238,9 @@ class Chart:
         self.predictions: dict[int, list[tuple[FeatureTerm, ...]]] = {
             i: [] for i in range(n_words + 1)
         }
-        self._first_backbones: dict[int, set[str]] = {i: set() for i in range(n_words + 1)}
+        # the backbones licensed at each position that has a prediction
+        # (see `licensed`), made when its first prediction is stored
+        self._licensed: dict[int, set[str]] = {}
         self._by_end: dict[int, list[Edge]] = {i: [] for i in range(n_words + 1)}
         # each edge under its packing key (see `add_edge`); edges only
         # ever go in at the growing end of a chart, so a chart's keys
@@ -237,8 +248,9 @@ class Chart:
         self._by_key: dict[tuple, Edge] = {}
         for i in range(resume_at):
             self.predictions[i] = base.predictions[i]
-            self._first_backbones[i] = base._first_backbones[i]
             self._by_end[i] = base._by_end[i]
+            if i in base._licensed:
+                self._licensed[i] = base._licensed[i]
         # ids are consecutive in order of end position
         taken = sum(len(self._by_end[i]) for i in range(resume_at))
         self.edges: list[Edge] = [] if base is None else base.edges[:taken]
@@ -264,13 +276,13 @@ class Chart:
         key: the span, the variant class of `cat` (its canonical render,
         or a ground category itself, its only variant) and the reading's
         render."""
-        key = (start, end, cat if cat.ground else canonical(cat),
-               None if reading is None else reading.render)
+        cls = cat if cat.ground else canonical(cat)
+        key = (start, end, cls, None if reading is None else reading.render)
         other = self._by_key.get(key)
         if other is not None:
             added = other.add_derivation(derivation)
             return other, ("packed" if added else "duplicate")
-        edge = self._by_key[key] = Edge(len(self.edges) + 1, start, end, cat, reading)
+        edge = self._by_key[key] = Edge(len(self.edges) + 1, start, end, cat, cls, reading)
         edge.derivations.append(derivation)  # the first derivation needs no key
         self.edges.append(edge)
         self._by_end[end].append(edge)
@@ -282,6 +294,12 @@ class Chart:
 
     def empty_edges_at(self, pos: int) -> list[Edge]:
         return [e for e in self._by_end[pos] if e.start == pos]
+
+    def has_empty_edges(self, pos: int) -> bool:
+        for e in self._by_end[pos]:
+            if e.start == pos:
+                return True
+        return False
 
     # -- predictions ---------------------------------------------------
 
@@ -296,7 +314,10 @@ class Chart:
                 return "duplicate"
         self.predictions[pos].append(seq)
         if seq:
-            self._first_backbones[pos].add(seq[0].backbone)
+            licensed = self._licensed.get(pos)
+            if licensed is None:
+                licensed = self._licensed[pos] = set()
+            licensed |= self.tables.corners[seq[0].backbone]
         return "ok"
 
     def _lookahead_ok(self, pos: int, seq: tuple[FeatureTerm, ...]) -> bool:
@@ -311,10 +332,13 @@ class Chart:
         # every element can be empty, so the sequence needs no input
         return True
 
-    def first_backbones(self, pos: int) -> set[str]:
-        """The backbones that begin a sequence predicted at `pos` (the
-        chart's own set: read it, do not change it)."""
-        return self._first_backbones[pos]
+    def licensed(self, pos: int) -> set[str] | frozenset[str]:
+        """The backbones that can begin a sequence predicted at `pos`,
+        which a context-dependent phrase starting at `pos` needs (the
+        chart's own set: read it, do not change it). A stored sequence
+        adds the corners of its first backbone (`Grammar.analysis`), so
+        a licence is one set lookup."""
+        return self._licensed.get(pos, _NO_BACKBONES)
 
     # -- reporting -----------------------------------------------------
 

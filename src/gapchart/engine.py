@@ -16,7 +16,9 @@ advances are final; only a prediction made at p can change what an edge
 at p may build, and the next pass meets it.
 
 One loop processes edges. An edge makes its predictions, and its
-search for reductions is one generator, pushed on an explicit stack.
+search for reductions is one generator, pushed on an explicit stack
+(tables with no context-dependent backbone predict nothing, and an
+edge whose backbone triggers no reduction has no search to push).
 The search runs through the reduction triggers of the edge's backbone
 (each carries the rule's daughters already sliced around the edge's
 position). A binary trigger, with one tail daughter and no trailing
@@ -29,8 +31,9 @@ begins. The edge of each reading of a match goes into the chart in
 place. Each new edge is yielded at once: it makes its predictions and
 its own search goes on top of the stack, so it is reduced before the
 search that found it resumes. The edge lists a search runs over are
-live, so a resumed search sees the edges added meanwhile. The order is that of the depth-first recursion, and the
-depth of Python's stack does not grow with the input.
+live, so a resumed search sees the edges added meanwhile. The order is
+that of the depth-first recursion, and the depth of Python's stack does
+not grow with the input.
 
 The chart grows strictly left to right. Scanning word p-1 and closing
 position p under the empty rules builds every edge that ends at p,
@@ -48,6 +51,10 @@ takes over no position.
 A reduced phrase is licensed when its category is context-independent,
 or when it can begin a phrase anticipated at its start position (every
 category can begin itself, so directly predicted phrases are covered).
+A position keeps the set of backbones that can begin the first
+backbone of a sequence predicted there (`Chart.licensed`), grown
+through the grammar's inverse left-corner table as sequences are
+stored, so a licence is one set lookup.
 
 The open daughters of grammar rules and prediction entries are unified
 as stored, against chart categories that never contain a rule's
@@ -64,6 +71,28 @@ none.
 Each use of an edge in one derivation gets its own variables: an edge
 that fills a second daughter position (only an empty edge can) is
 matched and combined as a renamed copy.
+
+Unification is worked out once per variant class. A binary or unary
+trigger with an open daughter carries a number, given when the tables
+are compiled, and so does a prediction entry with an open trigger or a
+sequence that is not ground. The tables' class memo
+(`CompiledTables.class_memo`, next to the semantic memo) maps the
+number and the variant classes of the edges matched (each edge keeps
+the class it is packed under) to the outcome: False when the daughters
+do not unify, else the head category or the predicted sequence,
+resolved and renamed. A hit costs one lookup and a renaming of what it
+holds (none when that is ground). That is exact: chart categories never
+share a variable, so what a rule's terms unify to against them depends
+on their classes alone, up to the names of its variables, and equal
+classes are exactly the alphabetic variants. The first use puts the
+outcome it works out into the chart and keeps it in the memo, and every
+later use puts a renamed copy, so no two chart categories share a
+variable, and edges, ids, predictions, traces and trees are those that
+plain unification gives. The memo stores outcomes until it holds
+`MEMO_LIMIT` entries and then keeps what it holds: a key met after that
+is worked out again at each meeting, as if there were no memo. Every
+other shape of trigger (trailing daughters, or more than one tail
+daughter) unifies its daughters as it matches them.
 
 Above `syn` an edge carries one reading: a derivation with several
 readings goes into the chart once per reading, and each reading edge
@@ -105,8 +134,9 @@ from .terms import FeatureTerm, canonical, canonical_seq, refresh, resolve, unif
 
 TraceFn = Callable[[str], None]
 
-# the memo evicts its least recently used entry beyond this many; one
-# 10-best list of the rescoring benchmark uses a few dozen
+# the semantic memo evicts its least recently used entry beyond this
+# many, and the class memo stores no more; one 10-best list of the
+# rescoring benchmark uses a few dozen semantic entries
 MEMO_LIMIT = 256
 
 
@@ -427,16 +457,24 @@ class _Parser:
         search that found it goes on. The searches in progress are kept
         on an explicit stack (one reduction generator per edge), so the
         order is that of the depth-first recursion and its depth does
-        not grow with the input."""
-        self._make_new_predictions(edge)
-        stack = [self._find_new_reductions(edge)]
-        while stack:
-            nxt = next(stack[-1], None)
-            if nxt is None:
+        not grow with the input. Tables with no context-dependent
+        backbone predict nothing, and an edge whose backbone triggers no
+        reduction gets no search."""
+        predicts = bool(self.tables.cd)
+        triggers = self.tables.reduction_triggers
+        stack = []
+        while True:
+            if predicts:
+                self._make_new_predictions(edge)
+            if edge.backbone in triggers:
+                stack.append(self._find_new_reductions(edge))
+            while stack:
+                edge = next(stack[-1], None)
+                if edge is not None:
+                    break
                 stack.pop()
             else:
-                self._make_new_predictions(nxt)
-                stack.append(self._find_new_reductions(nxt))
+                return
 
     def _empty_fixpoint(self, pos: int) -> None:
         """Close `pos` under the empty rules, in passes: a pass offers
@@ -481,30 +519,45 @@ class _Parser:
                 binds = unify_values(seq[0], e.cat, {})
                 if binds is not None:
                     self._predict(e.end, tuple([resolve(t, binds) for t in seq[1:]]))
-        # fire compiled first-daughter entries; a bare trigger matches
-        # every edge of its backbone, and a ground sequence is its own copy
-        for entry in self.tables.entries.get(e.backbone, ()):
-            if not entry.head_ci and not self._licensed(
-                entry.rule.head.backbone, e.start
-            ):
+        # fire compiled first-daughter entries; a bare trigger with a
+        # ground sequence predicts it as stored, and a numbered entry a
+        # renamed copy of its outcome for the edge's class
+        memo = self.tables.class_memo
+        for rule, trigger, head_ci, seq, ground, number in \
+                self.tables.entries.get(e.backbone, ()):
+            if not head_ci and not self._licensed(rule.head.backbone, e.start):
                 continue
-            binds: dict = {}
-            if entry.trigger.feats:
-                binds = unify_values(entry.trigger, e.cat, binds)
-                if binds is None:
-                    continue
-            if entry.ground:
-                self._predict(e.end, entry.seq)
+            if number is None:
+                got = seq if ground and not trigger.feats else self._entry_seq(
+                    trigger, seq, ground, e)
             else:
-                mapping: dict = {}
-                self._predict(e.end, tuple(refresh(resolve(t, binds), mapping)
-                                           for t in entry.seq))
+                key = (number, e.cls)
+                got = memo.get(key)
+                if got is None:
+                    got = self._entry_seq(trigger, seq, ground, e)
+                    if len(memo) < MEMO_LIMIT:
+                        memo[key] = got
+                elif got and not ground:
+                    mapping: dict = {}
+                    got = tuple([t if t.ground else refresh(t, mapping) for t in got])
+            if got:
+                self._predict(e.end, got)
+
+    def _entry_seq(self, trigger: FeatureTerm, seq: tuple[FeatureTerm, ...], ground: bool,
+                   e: Edge) -> tuple[FeatureTerm, ...] | bool:
+        """What an entry predicts after the edge `e`: its sequence, as
+        stored when ground, else resolved and renamed; False if its
+        trigger does not unify with the edge."""
+        binds = unify_values(trigger, e.cat, {}) if trigger.feats else {}
+        if binds is None:
+            return False
+        if ground:
+            return seq
+        mapping: dict = {}
+        return tuple([refresh(resolve(t, binds), mapping) for t in seq])
 
     def _licensed(self, backbone: str, pos: int) -> bool:
-        if backbone not in self.tables.cd:
-            return True
-        corners = self.tables.left_corner.get(backbone, frozenset())
-        return not corners.isdisjoint(self.chart.first_backbones(pos))
+        return backbone not in self.tables.cd or backbone in self.chart.licensed(pos)
 
     # -- reductions ----------------------------------------------------
 
@@ -516,22 +569,24 @@ class _Parser:
         daughters of every other shape. A bare daughter (a closed one)
         matches every edge of its backbone and is not unified; a ground
         head is its own copy, and a context-independent one needs no
-        licence."""
+        licence. A numbered trigger takes the head its daughters' classes
+        give from the class memo, as a renamed copy (see the module
+        docstring)."""
         start, end = e.start, e.end
         syn = self.depth == SYN
         chart = self.chart
-        for rule, daughter, tail, trailing, head_ci, binary in \
-                self.tables.reduction_triggers.get(e.backbone, ()):
-            if trailing and not chart.empty_edges_at(end):
+        memo = self.tables.class_memo
+        for rule, daughter, tail, trailing, head_ci, binary, number in \
+                self.tables.reduction_triggers[e.backbone]:
+            if trailing and not chart.has_empty_edges(end):
                 continue
             binds: dict = {}
-            if daughter.feats:
+            if number is None and daughter.feats:
                 binds = unify_values(daughter, e.cat, binds)
                 if binds is None:
                     continue
             if binary:
-                (left,) = tail
-                backbone = left.backbone
+                backbone = tail[0].backbone
                 matches = chart.edges_ending_at(start)  # live, as in `_match`
             elif trailing or tail:
                 matches = self._match(trailing, tail, binds, (e,))
@@ -544,19 +599,24 @@ class _Parser:
                 elif match.backbone != backbone:
                     continue
                 else:
-                    b = binds
-                    if left.feats:
-                        # an empty edge matched again is a renamed copy
-                        b = unify_values(left, refresh(match.cat, {}) if match is e
-                                         else match.cat, binds)
-                        if b is None:
-                            continue
-                    daughters = (match, e)
+                    b, daughters = binds, (match, e)
                 span_start = daughters[0].start
                 if not head_ci and not self._licensed(head.backbone, span_start):
                     continue
-                # the rename keeps the rule's own variables out of the chart
-                head_cat = head if head.ground else refresh(resolve(head, b), {})
+                if number is None:
+                    # the rename keeps the rule's own variables out of the chart
+                    head_cat = head if head.ground else refresh(resolve(head, b), {})
+                else:
+                    key = (number, daughters[0].cls, e.cls)
+                    head_cat = memo.get(key)
+                    if head_cat is None:
+                        head_cat = self._reduced_head(rule, daughter, tail, daughters)
+                        if len(memo) < MEMO_LIMIT:
+                            memo[key] = head_cat
+                    elif head_cat and not head_cat.ground:
+                        head_cat = refresh(head_cat, {})
+                    if not head_cat:
+                        continue
                 if syn:
                     readings = (None,)
                 else:
@@ -569,6 +629,24 @@ class _Parser:
                     edge = self._add(span_start, end, head_cat, derivation, reading)
                     if edge is not None:
                         yield edge
+
+    def _reduced_head(self, rule: Rule, daughter: FeatureTerm, tail: tuple[FeatureTerm, ...],
+                      daughters: tuple[Edge, ...]) -> FeatureTerm | bool:
+        """The head category a numbered trigger makes of the match
+        `daughters` (one or two, the last the trigger's own), resolved
+        and renamed; False if they do not unify. An edge matched twice
+        (an empty edge can be) is unified the second time as a renamed
+        copy, as in `_match`."""
+        e = daughters[-1]
+        binds = unify_values(daughter, e.cat, {}) if daughter.feats else {}
+        if binds is not None and tail and tail[0].feats:
+            left = daughters[0]
+            binds = unify_values(tail[0], refresh(left.cat, {}) if left is e else left.cat,
+                                 binds)
+        if binds is None:
+            return False
+        head = rule.head
+        return head if head.ground else refresh(resolve(head, binds), {})
 
     def _match(self, trailing: tuple[FeatureTerm, ...], tail: tuple[FeatureTerm, ...],
                binds, matched: tuple[Edge, ...]) -> Iterator[tuple[object, tuple[Edge, ...]]]:

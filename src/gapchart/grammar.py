@@ -115,14 +115,16 @@ class SemRule:
 class GrammarAnalysis(NamedTuple):
     """What a grammar alone decides, whatever the strategy: its
     backbones, the nullable backbones, the possible-left-corner relation
-    (reflexive-transitive), the words that can begin each backbone (read
-    off that relation: a word begins every phrase one of its lexical
-    categories can begin) and the empty rules. `parse_grammar` works it
-    out once, and every `compile_tables` call shares it."""
+    (reflexive-transitive) and its inverse `corners` (the backbones that
+    can begin each backbone), the words that can begin each backbone
+    (read off that relation: a word begins every phrase one of its
+    lexical categories can begin) and the empty rules. `parse_grammar`
+    works it out once, and every `compile_tables` call shares it."""
 
     backbones: frozenset[str]
     nullable: frozenset[str]
     left_corner: dict[str, frozenset[str]]
+    corners: dict[str, frozenset[str]]
     first_word: dict[str, frozenset[str]]
     empty_rules: tuple[Rule, ...]
 
@@ -165,6 +167,7 @@ def analyse(grammar: Grammar) -> GrammarAnalysis:
         backbones=backbones,
         nullable=nullable,
         left_corner=left_corner,
+        corners=_corners(left_corner),
         first_word=_first_word(grammar, left_corner),
         empty_rules=tuple(r for r in grammar.rules if not r.rhs),
     )
@@ -209,6 +212,15 @@ def _left_corner(
             if via in phrases:
                 phrases |= beyond
     return {b: frozenset(s) for b, s in step.items()}
+
+
+def _corners(left_corner: dict[str, frozenset[str]]) -> dict[str, frozenset[str]]:
+    # x can begin y exactly when y is in x's left-corner set
+    corners: dict[str, set[str]] = {b: set() for b in left_corner}
+    for corner, phrases in left_corner.items():
+        for phrase in phrases:
+            corners[phrase].add(corner)
+    return {b: frozenset(s) for b, s in corners.items()}
 
 
 def _first_word(grammar: Grammar,

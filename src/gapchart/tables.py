@@ -9,22 +9,25 @@ context-dependent, and `llc` uses the grammar's declared set.
 The tables take over what the grammar alone decides from
 `Grammar.analysis`, which `parse_grammar` works out once per grammar:
 the backbones, the nullable set, the possible-left-corner relation
-(reflexive-transitive), the first-word sets for one-word lookahead and
-the empty rules. Compilation builds, per strategy, the prediction
-entries that fire when a first daughter completes and the reduction
-trigger index. Triggers and entries hold what a rule alone decides: its
-daughters as compiled (`Rule.compiled_rhs`, where a closed daughter is
-its bare backbone), whether its head is context-independent, and
-whether a predicted sequence is ground. Compilation also reports
-closure violations: the context-dependent set must be closed under
+(reflexive-transitive) and its inverse, the first-word sets for
+one-word lookahead and the empty rules. Compilation builds, per
+strategy, the prediction entries that fire when a first daughter
+completes and the reduction trigger index. Triggers and entries hold
+what a rule alone decides: its daughters as compiled
+(`Rule.compiled_rhs`, where a closed daughter is its bare backbone),
+whether its head is context-independent, whether a predicted sequence
+is ground, and the number under which the class memo keeps its
+outcomes (see `CompiledTables`). Compilation also reports closure
+violations: the context-dependent set must be closed under
 possible-left-corner-of, or predictions cannot license every phrase a
 complete parse needs.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .grammar import Grammar, Rule
 from .terms import FeatureTerm
@@ -37,13 +40,17 @@ class PredictionEntry(NamedTuple):
     remaining daughters up to a context-dependent one may be predicted.
     The trigger is the rule's first daughter as compiled (a closed one is
     its bare backbone, see `Rule.compiled_rhs`); `ground` says the
-    sequence holds no variable, so it is predicted as it is stored."""
+    sequence holds no variable, so it is predicted as it is stored.
+    `number` keys the entry's outcomes in the class memo; it is None for
+    a bare trigger with a ground sequence, which has nothing to work
+    out."""
 
     rule: Rule
     trigger: FeatureTerm
     head_ci: bool
     seq: tuple[FeatureTerm, ...]
     ground: bool
+    number: int | None
 
 
 class ReductionTrigger(NamedTuple):
@@ -54,7 +61,10 @@ class ReductionTrigger(NamedTuple):
     backbone (see `Rule.compiled_rhs`). `head_ci` says the rule's head
     is context-independent, so every match is licensed. `binary` says
     the trigger has one tail daughter and no trailing ones, the shape
-    the engine matches in one loop."""
+    the engine matches in one loop. `number` keys the trigger's outcomes
+    in the class memo: it is set for a binary or unary trigger (one
+    daughter and no trailing ones) with an open daughter, and None for
+    every other trigger, which unifies as it goes."""
 
     rule: Rule
     daughter: FeatureTerm
@@ -62,6 +72,7 @@ class ReductionTrigger(NamedTuple):
     trailing: tuple[FeatureTerm, ...]
     head_ci: bool
     binary: bool
+    number: int | None
 
 
 @dataclass
@@ -72,8 +83,12 @@ class CompiledTables:
     semantic work of the parses made with them (lexical readings and
     reading combinations), so later utterances share it. The engine
     fills the memo and evicts its least recently used entries; callers
-    never set it. The grammar is not changed once it has tables, and
-    tables serve one thread at a time.
+    never set it. `class_memo` keeps, next to it, what the rules'
+    categories alone decide: the outcome of each numbered trigger or
+    entry for the variant classes of the edges it meets (see the engine
+    module). The engine fills it until it holds `engine.MEMO_LIMIT`
+    entries, and then keeps what it holds. The grammar is not changed
+    once it has tables, and tables serve one thread at a time.
     """
 
     strategy: str
@@ -81,15 +96,18 @@ class CompiledTables:
     backbones: frozenset[str]
     nullable: frozenset[str]
     left_corner: dict[str, frozenset[str]]
+    corners: dict[str, frozenset[str]]
     first_word: dict[str, frozenset[str]]
     entries: dict[str, tuple[PredictionEntry, ...]]
     reduction_triggers: dict[str, tuple[ReductionTrigger, ...]]
     empty_rules: tuple[Rule, ...] = ()
     closure_violations: list[tuple[str, str]] = field(default_factory=list)
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    class_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _entries(grammar: Grammar, cd: frozenset[str]) -> dict[str, tuple[PredictionEntry, ...]]:
+def _entries(grammar: Grammar, cd: frozenset[str],
+             numbers: Iterator[int]) -> dict[str, tuple[PredictionEntry, ...]]:
     out: dict[str, list[PredictionEntry]] = {}
     restrict = grammar.restrictor.restrict
     for rule in grammar.rules:
@@ -100,19 +118,21 @@ def _entries(grammar: Grammar, cd: frozenset[str]) -> dict[str, tuple[Prediction
             if rule.rhs[j].backbone not in cd:
                 continue
             seq = tuple(restrict(d) for d in rule.rhs[1 : j + 1])
+            ground = all(t.ground for t in seq)
             entry = PredictionEntry(
                 rule=rule,
                 trigger=trigger,
                 head_ci=rule.head.backbone not in cd,
                 seq=seq,
-                ground=all(t.ground for t in seq),
+                ground=ground,
+                number=None if ground and not trigger.feats else next(numbers),
             )
             out.setdefault(trigger.backbone, []).append(entry)
     return {b: tuple(es) for b, es in out.items()}
 
 
 def _reduction_triggers(
-    grammar: Grammar, nullable: frozenset[str], cd: frozenset[str]
+    grammar: Grammar, nullable: frozenset[str], cd: frozenset[str], numbers: Iterator[int]
 ) -> dict[str, tuple[ReductionTrigger, ...]]:
     # a new edge can complete a rule from any daughter position whose
     # following daughters are all nullable (matched by empty edges in place)
@@ -124,8 +144,12 @@ def _reduction_triggers(
         for pos in range(n - 1, -1, -1):
             if pos < n - 1 and rhs[pos + 1].backbone not in nullable:
                 break
+            # the class memo serves one or two daughters, no trailing ones,
+            # and one of them open
+            memo = pos == n - 1 < 2 and (rhs[0].feats or rhs[pos].feats)
             trigger = ReductionTrigger(rule, rhs[pos], rhs[:pos], rhs[pos + 1:], head_ci,
-                                       binary=pos == 1 and n == 2)
+                                       binary=pos == 1 and n == 2,
+                                       number=next(numbers) if memo else None)
             out.setdefault(rhs[pos].backbone, []).append(trigger)
     return {b: tuple(ts) for b, ts in out.items()}
 
@@ -147,15 +171,17 @@ def compile_tables(grammar: Grammar, strategy: str) -> CompiledTables:
         for y in left_corner.get(x, frozenset())
         if y not in cd
     )
+    numbers = itertools.count()
     return CompiledTables(
         strategy=strategy,
         cd=cd,
         backbones=analysis.backbones,
         nullable=analysis.nullable,
         left_corner=left_corner,
+        corners=analysis.corners,
         first_word=analysis.first_word,
-        entries=_entries(grammar, cd),
-        reduction_triggers=_reduction_triggers(grammar, analysis.nullable, cd),
+        entries=_entries(grammar, cd, numbers),
+        reduction_triggers=_reduction_triggers(grammar, analysis.nullable, cd, numbers),
         empty_rules=analysis.empty_rules,
         closure_violations=violations,
     )

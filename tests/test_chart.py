@@ -195,8 +195,21 @@ def test_prediction_dedup_is_one_directional(chart):
     assert chart.add_prediction(0, general) == "ok"       # not subsumed
     assert chart.add_prediction(0, specific) == "duplicate"  # now covered
     assert chart.preds_created == 2
-    assert chart.first_backbones(0) == {"np"}
-    assert chart.first_backbones(1) == set()
+    assert chart.licensed(0) == {"np"}
+    assert chart.licensed(1) == set()
+
+
+def test_a_position_licenses_what_can_begin_its_first_backbones(toy_grammar):
+    tables = compile_tables(toy_grammar, "lc")
+    chart = Chart(["the", "pilot"], tables, toy_grammar.restrictor, lookahead=False)
+    firsts = set()
+    for backbone in sorted(tables.backbones):
+        chart.add_prediction(0, (FeatureTerm(backbone),))
+        firsts.add(backbone)
+        # a backbone is licensed where it can begin a predicted first backbone
+        assert chart.licensed(0) == {x for x in tables.backbones
+                                     if tables.left_corner[x] & firsts}, backbone
+    assert chart.licensed(1) == set()
 
 
 def test_lookahead_rejects_impossible_first_word(toy_grammar):

@@ -37,6 +37,12 @@ relation and the first words compiled for both kinds of grammar are
 what the oracles find by derivation search, matrix closure and
 recursion.
 
+Tables warmed by a seed's other inputs parse each input exactly as
+fresh tables do (trace lines, `chart.dump()`, `trees(7)` and readings),
+at `syn` on a generated grammar and at `sem` and `deferred` on a
+generated sort grammar, under every strategy; so do warm tables of the
+toy grammar over its corpus at `syn` and `sem`.
+
 The order in which the engine builds a chart is pinned too: for each
 generated grammar of seeds 0-49 (at `syn` under `bu`, `llc` and `lc`)
 and each generated sort grammar (at `sem` and `deferred` under the
@@ -50,7 +56,8 @@ To sweep a wider range of seeds, run
 
 which prints each disagreeing seed, strategy (and depth) and input for
 the seeds FIRST to STOP - 1, over the tree, reading, cover, resume,
-tree-limit, tree-order and table checks, and exits 1 if there is any.
+tree-limit, tree-order, table and warm-table checks, and exits 1 if
+there is any.
 """
 
 from __future__ import annotations
@@ -586,6 +593,59 @@ def test_generated_forests_have_derivations_with_later_daughters():
     assert later >= 50
 
 
+def _traced_snapshot(grammar: Grammar, words: list[str], strategy: str, depth: str,
+                     tables) -> tuple:
+    lines: list[str] = []
+    result = parse(grammar, words, strategy=strategy, depth=depth, robust=True,
+                   trace=lines.append, tables=tables)
+    return (lines, result.chart.dump(), result.trees(7),
+            [r.render for r in result.complete_readings()])
+
+
+def warm_table_disagreements_of(grammar: Grammar, inputs: list[list[str]],
+                                depths: tuple[str, ...]) -> Iterator[tuple[str, list[str]]]:
+    """(strategy and depth, words) for every input whose parse with fresh
+    tables differs, in its trace lines, `chart.dump()`, `trees(7)` or
+    complete readings, from its parse with warm tables, under every
+    strategy. The warm tables have first parsed every input once, last
+    to first, at each depth, so the other inputs filled their class memo
+    and semantic memo; neither memo may change an outcome."""
+    for strategy in ("bu", "llc", "lc"):
+        warm = compile_tables(grammar, strategy)
+        for depth in depths:
+            for words in inputs[::-1]:
+                parse(grammar, words, strategy=strategy, depth=depth, robust=True,
+                      tables=warm)
+        for depth in depths:
+            for words in inputs:
+                fresh = compile_tables(grammar, strategy)
+                if (_traced_snapshot(grammar, words, strategy, depth, warm)
+                        != _traced_snapshot(grammar, words, strategy, depth, fresh)):
+                    yield f"{strategy} {depth}", words
+
+
+def warm_table_disagreements(seed: int) -> Iterator[tuple[str, list[str]]]:
+    """`warm_table_disagreements_of` the seed's generated inputs: at
+    `syn` on a generated grammar and at `sem` and `deferred` on a
+    generated sort grammar."""
+    for depths, make in ((("syn",), random_grammar),
+                         (("sem", "deferred"), random_sort_grammar)):
+        rng = random.Random(seed)
+        grammar = make(rng)
+        inputs = [random_words(rng, grammar) for _ in range(6)]
+        yield from warm_table_disagreements_of(grammar, inputs, depths)
+
+
+@pytest.mark.parametrize("seed", SORT_SEEDS)
+def test_warm_tables_of_generated_grammars_parse_as_fresh_ones(seed):
+    assert list(warm_table_disagreements(seed)) == []
+
+
+def test_warm_tables_of_the_toy_grammar_parse_as_fresh_ones(toy_grammar, toy_corpus):
+    inputs = [tokenize(utt) for utt in toy_corpus]
+    assert list(warm_table_disagreements_of(toy_grammar, inputs, ("syn", "sem"))) == []
+
+
 ORDER_DIGESTS = Path(__file__).parent / "golden" / "order_digests.json"
 ORDER_SEEDS = range(50)
 
@@ -723,7 +783,8 @@ if __name__ == "__main__":
     for seed in range(first, stop):
         for check in (disagreements, sort_disagreements, sem_disagreements,
                       cover_disagreements, resume_disagreements, limit_disagreements,
-                      tree_order_disagreements, table_disagreements):
+                      tree_order_disagreements, table_disagreements,
+                      warm_table_disagreements):
             for variant, words in check(seed):
                 print(seed, variant, words)
                 found = True

@@ -9,7 +9,10 @@ corpus give the same results as fresh ones, that the grammar's tables
 are compiled once and shared by every `rescore` call, that rescoring,
 whose parses resume from each other, gives the rows of fresh parses in
 any hypothesis order, and that the memo stays within its bound by
-evicting its least recently used entries.
+evicting its least recently used entries. The class memo of the
+compiled rules stays within the same bound by keeping what it holds
+once it is full, and tables whose class memo is full parse as fresh
+ones do.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from gapchart.engine import MEMO_LIMIT, parse, tokenize
 from gapchart.grammar import load_grammar, parse_grammar
 from gapchart.scoring import Hypothesis, min_fragment_cover, nl_score, read_nbest, rescore
 from gapchart.tables import compile_tables
-from gapchart.terms import Var, leaves
+from gapchart.terms import Var, canonical, leaves
 
 SEM_DEPTHS = ("sem", "sorts", "deferred")
 
@@ -221,6 +224,34 @@ def test_memo_stays_within_its_bound():
                     == _snapshot(_parse(grammar, utt, depth, cold))), utt
 
 
+# each `grow` step nests the `f` value one level deeper, so an input of
+# n words gives edges of n variant classes, and keys of the class memo
+GROW = """
+feature a f
+feature g k
+start a()
+rule grow : a(f=g(k=X)) -> a(f=X) b()
+lex x : a()
+lex y : b()
+"""
+
+
+@pytest.mark.parametrize("strategy", ("bu", "lc"))
+def test_class_memo_keeps_what_it_holds_once_full(strategy):
+    grammar = parse_grammar(GROW)
+    tables = compile_tables(grammar, strategy)
+    for n in (1, MEMO_LIMIT // 2, MEMO_LIMIT + 40):
+        _parse(grammar, " ".join(["x"] + ["y"] * n), "syn", tables)
+        # the memo only ever grows, so its size now bounds every earlier one
+        assert len(tables.class_memo) <= MEMO_LIMIT
+    assert len(tables.class_memo) == MEMO_LIMIT
+    held = list(tables.class_memo.items())
+    utt = " ".join(["x"] + ["y"] * (MEMO_LIMIT + 20))
+    full = _snapshot(_parse(grammar, utt, "syn", tables))
+    assert list(tables.class_memo.items()) == held
+    assert full == _snapshot(_parse(grammar, utt, "syn", compile_tables(grammar, strategy)))
+
+
 def _count_semantic_work(monkeypatch) -> list[int]:
     """Count the memo's misses: the engine's calls of `combine_readings`
     and `lexical_instance`."""
@@ -309,6 +340,28 @@ lex fish : n(num=N) -> fish
 """)
     result = parse(grammar, tokenize("fish fish"), depth=depth)
     assert result.trees() == ["(r fish fish)"]
+
+
+# `mk` makes an `a` whose `f` is free from the class memo; `top` joins
+# two of them, whose variables must stay apart
+TWO_FROM_ONE_CLASS = """
+feature a f
+feature b f
+feature s f g
+start s()
+rule top : s(f=X, g=Y) -> a(f=X) a(f=Y)
+rule mk : a(f=X) -> b(f=X)
+lex y : b()
+"""
+
+
+@pytest.mark.parametrize("strategy", ("bu", "llc", "lc"))
+def test_each_category_from_the_class_memo_has_variables_of_its_own(strategy):
+    grammar = parse_grammar(TWO_FROM_ONE_CLASS)
+    tables = compile_tables(grammar, strategy)
+    for _ in range(2):
+        result = parse(grammar, ["y", "y"], strategy=strategy, tables=tables)
+        assert [canonical(e.cat) for e in result.complete_edges()] == ["s(f=_1,g=_2)"]
 
 
 # `r` asks for two `a`s whose `idx` values differ; the empty `ae` can fill

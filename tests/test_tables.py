@@ -86,7 +86,7 @@ def test_the_grammar_analysis_is_worked_out_once_per_grammar(monkeypatch, name):
     for t in tables.values():
         assert t.nullable is analysis.nullable and t.left_corner is analysis.left_corner
         assert t.first_word is analysis.first_word and t.backbones is analysis.backbones
-        assert t.empty_rules is analysis.empty_rules
+        assert t.empty_rules is analysis.empty_rules and t.corners is analysis.corners
     monkeypatch.undo()
     for strategy, t in tables.items():
         fresh = compile_tables(parse_grammar(read_text(name)), strategy)
@@ -257,6 +257,7 @@ def test_what_leaves_a_daughter_open():
 def test_triggers_and_entries_hold_the_compiled_daughters(toy_grammar):
     for strategy in STRATEGIES:
         tables = compile_tables(toy_grammar, strategy)
+        numbers = []
         for backbone, triggers in tables.reduction_triggers.items():
             for t in triggers:
                 rhs, k = t.rule.compiled_rhs, len(t.tail)
@@ -264,10 +265,18 @@ def test_triggers_and_entries_hold_the_compiled_daughters(toy_grammar):
                 assert t.daughter.backbone == backbone
                 assert t.head_ci == (t.rule.head.backbone not in tables.cd)
                 assert t.binary == (k == 1 and not t.trailing)
+                # the class memo serves one or two daughters, one of them open
+                served = k < 2 and not t.trailing and any(d.feats for d in rhs)
+                assert (t.number is not None) == served
+                numbers.append(t.number)
         for entries in tables.entries.values():
             for e in entries:
                 assert e.trigger == e.rule.compiled_rhs[0]
                 assert e.ground == all(term.ground for term in e.seq)
+                assert (e.number is None) == (e.ground and not e.trigger.feats)
+                numbers.append(e.number)
+        numbers = [n for n in numbers if n is not None]
+        assert numbers and len(set(numbers)) == len(numbers)
     (r5,) = [e for es in compile_tables(toy_grammar, "llc").entries.values()
              for e in es if e.rule.name == "r5"]
     # a bare trigger and a ground sequence: predicted as stored
@@ -277,17 +286,19 @@ def test_triggers_and_entries_hold_the_compiled_daughters(toy_grammar):
 def _uncompiled(tables):
     """The tables with nothing decided at compile time: every daughter
     open, no predicted sequence known to be ground, no head known to be
-    context-independent and no trigger known to be binary, so that
-    `_Parser._match` matches every trigger."""
+    context-independent, no trigger known to be binary and none numbered
+    for the class memo, so that `_Parser._match` matches every trigger
+    and every daughter and entry is unified as it is met."""
 
     def trigger(t):
         rhs, k = t.rule.rhs, len(t.tail)
         return t._replace(daughter=rhs[k], tail=rhs[:k], trailing=rhs[k + 1:],
-                          head_ci=False, binary=False)
+                          head_ci=False, binary=False, number=None)
 
     return dataclasses.replace(
         tables,
-        entries={b: tuple(e._replace(trigger=e.rule.rhs[0], head_ci=False, ground=False)
+        entries={b: tuple(e._replace(trigger=e.rule.rhs[0], head_ci=False, ground=False,
+                                     number=None)
                           for e in es)
                  for b, es in tables.entries.items()},
         reduction_triggers={b: tuple(map(trigger, ts))
@@ -332,3 +343,7 @@ def test_compiled_tables_parse_exactly_as_uncompiled_ones(name, strategy):
             words = tokenize(utt)
             assert _snapshot(grammar, words, strategy, depth, tables) == \
                 _snapshot(grammar, words, strategy, depth, plain), (depth, utt)
+    # the compiled tables met their class memo; the plain ones never did
+    assert plain.class_memo == {}
+    if name == "toy.gram":
+        assert tables.class_memo
