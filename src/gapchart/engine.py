@@ -56,43 +56,45 @@ backbone of a sequence predicted there (`Chart.licensed`), grown
 through the grammar's inverse left-corner table as sequences are
 stored, so a licence is one set lookup.
 
-The open daughters of grammar rules and prediction entries are unified
-as stored, against chart categories that never contain a rule's
-variables. A closed daughter, compiled to its bare backbone
-(`Rule.compiled_rhs`), matches every edge of its backbone and binds
-nothing, so it is not unified at all. Only a match that succeeds is
-copied: the new category or predicted sequence is resolved and then
-renamed once, so the chart holds renamed copies. A ground category
-(one without variables: a feature-less rule head, a lexical category,
-the start category) or a ground predicted sequence is its own copy and
-goes into the chart shared, as it is; holding no variable, it shares
-none.
+No two chart terms share a variable: no two categories, no two
+predicted sequences, and no category and sequence. One step,
+`_instantiate`, matches the terms of rules and predictions against
+chart categories: it unifies each open term of a pattern (a
+reduction's daughters, a prediction entry's trigger, or the first
+element of a stored sequence an edge advances) with the category of
+the edge in its place, and returns the head category or the predicted
+sequence resolved and renamed under one mapping, or False. An edge met
+again (only an empty edge can fill two places) is unified as a renamed
+copy, so that each use binds variables of its own. Chart categories
+hold no variable of a rule, so a rule's terms are unified as stored. A
+closed daughter, compiled to its bare backbone (`Rule.compiled_rhs`),
+matches every edge of its backbone and binds nothing, so the step
+passes it over, and the search matches every daughter by backbone
+alone. A ground term (one without variables: a feature-less rule head,
+a lexical category, the start category) is its own copy and goes into
+the chart shared, as it is; holding no variable, it shares none.
 
-Each use of an edge in one derivation gets its own variables: an edge
-that fills a second daughter position (only an empty edge can) is
-matched and combined as a renamed copy.
-
-Unification is worked out once per variant class. A binary or unary
-trigger with an open daughter carries a number, given when the tables
-are compiled, and so does a prediction entry with an open trigger or a
-sequence that is not ground. The tables' class memo
-(`CompiledTables.class_memo`, next to the semantic memo) maps the
-number and the variant classes of the edges matched (each edge keeps
-the class it is packed under) to the outcome: False when the daughters
-do not unify, else the head category or the predicted sequence,
-resolved and renamed. A hit costs one lookup and a renaming of what it
-holds (none when that is ground). That is exact: chart categories never
-share a variable, so what a rule's terms unify to against them depends
-on their classes alone, up to the names of its variables, and equal
-classes are exactly the alphabetic variants. The first use puts the
-outcome it works out into the chart and keeps it in the memo, and every
-later use puts a renamed copy, so no two chart categories share a
-variable, and edges, ids, predictions, traces and trees are those that
-plain unification gives. The memo stores outcomes until it holds
-`MEMO_LIMIT` entries and then keeps what it holds: a key met after that
-is worked out again at each meeting, as if there were no memo. Every
-other shape of trigger (trailing daughters, or more than one tail
-daughter) unifies its daughters as it matches them.
+The step is worked out once per variant class. A reduction trigger
+with an open daughter carries a number, given when the tables are
+compiled, and so does a prediction entry with an open trigger. The
+tables' class memo (`CompiledTables.class_memo`, next to the semantic
+memo) maps the number and the variant classes of all the edges
+matched (each edge keeps the class it is packed under) to the step's
+outcome: False when the terms do not unify, else the head category or
+the predicted sequence. A hit costs one lookup and a renaming of what
+it holds (none when that is ground). That is exact: chart categories
+never share a variable, so what a rule's terms unify to against them
+depends on their classes alone, up to the names of its variables, and
+equal classes are exactly the alphabetic variants. The first use puts
+the outcome into the chart and keeps it in the memo, and every later
+use puts a renamed copy, so edges, ids, predictions, traces and trees
+are those that plain unification gives. The memo stores outcomes until
+it holds `MEMO_LIMIT` entries and then keeps what it holds: a key met
+after that is worked out again at each meeting, as if there were no
+memo. An unnumbered trigger or entry has nothing to unify: it puts its
+head or sequence in as it is when ground, and renamed otherwise. A
+stored sequence is a chart term, not a compiled one, so the step that
+advances it is worked out at each meeting.
 
 Above `syn` an edge carries one reading: a derivation with several
 readings goes into the chart once per reading, and each reading edge
@@ -136,7 +138,9 @@ TraceFn = Callable[[str], None]
 
 # the semantic memo evicts its least recently used entry beyond this
 # many, and the class memo stores no more; one 10-best list of the
-# rescoring benchmark uses a few dozen semantic entries
+# rescoring benchmark uses a few dozen semantic entries, but one pass
+# over its 111 lists meets 1,155 distinct keys, and the semantic memo
+# then misses 1,789 times cold and 1,722 times warm
 MEMO_LIMIT = 256
 
 
@@ -511,30 +515,29 @@ class _Parser:
             self._say(event, pos, canonical_seq(seq))
 
     def _make_new_predictions(self, e: Edge) -> None:
-        # predict the rest of each sequence this edge can begin, comparing
-        # backbones before unifying; the list is live, and an empty edge
-        # meets the sequences predicted after it in the next closure pass
+        # advance each sequence this edge can begin, comparing backbones
+        # before unifying; the list is live, and an empty edge meets the
+        # sequences predicted after it in the next closure pass
         for seq in self.chart.predictions[e.start]:
             if len(seq) > 1 and seq[0].backbone == e.backbone:
-                binds = unify_values(seq[0], e.cat, {})
-                if binds is not None:
-                    self._predict(e.end, tuple([resolve(t, binds) for t in seq[1:]]))
-        # fire compiled first-daughter entries; a bare trigger with a
-        # ground sequence predicts it as stored, and a numbered entry a
-        # renamed copy of its outcome for the edge's class
+                got = _instantiate(seq[:1], (e,), seq[1:])
+                if got:
+                    self._predict(e.end, got)
+        # fire compiled first-daughter entries; an unnumbered one has a
+        # bare trigger, and a numbered one predicts a renamed copy of its
+        # outcome for the edge's class
         memo = self.tables.class_memo
         for rule, trigger, head_ci, seq, ground, number in \
                 self.tables.entries.get(e.backbone, ()):
             if not head_ci and not self._licensed(rule.head.backbone, e.start):
                 continue
             if number is None:
-                got = seq if ground and not trigger.feats else self._entry_seq(
-                    trigger, seq, ground, e)
+                got = seq if ground else _instantiate((), (), seq)
             else:
                 key = (number, e.cls)
                 got = memo.get(key)
                 if got is None:
-                    got = self._entry_seq(trigger, seq, ground, e)
+                    got = _instantiate((trigger,), (e,), seq)
                     if len(memo) < MEMO_LIMIT:
                         memo[key] = got
                 elif got and not ground:
@@ -542,19 +545,6 @@ class _Parser:
                     got = tuple([t if t.ground else refresh(t, mapping) for t in got])
             if got:
                 self._predict(e.end, got)
-
-    def _entry_seq(self, trigger: FeatureTerm, seq: tuple[FeatureTerm, ...], ground: bool,
-                   e: Edge) -> tuple[FeatureTerm, ...] | bool:
-        """What an entry predicts after the edge `e`: its sequence, as
-        stored when ground, else resolved and renamed; False if its
-        trigger does not unify with the edge."""
-        binds = unify_values(trigger, e.cat, {}) if trigger.feats else {}
-        if binds is None:
-            return False
-        if ground:
-            return seq
-        mapping: dict = {}
-        return tuple([refresh(resolve(t, binds), mapping) for t in seq])
 
     def _licensed(self, backbone: str, pos: int) -> bool:
         return backbone not in self.tables.cd or backbone in self.chart.licensed(pos)
@@ -566,12 +556,12 @@ class _Parser:
         chart, with `e` as the daughter a reduction trigger names. A
         binary trigger's other daughter is matched in this loop, over the
         edges ending where `e` starts; `_match` matches the other
-        daughters of every other shape. A bare daughter (a closed one)
-        matches every edge of its backbone and is not unified; a ground
-        head is its own copy, and a context-independent one needs no
-        licence. A numbered trigger takes the head its daughters' classes
-        give from the class memo, as a renamed copy (see the module
-        docstring)."""
+        daughters of every other shape. Daughters are matched by backbone
+        alone: a numbered trigger takes the head its daughters' classes
+        give from the class memo, as a renamed copy, and an unnumbered one
+        (every daughter bare) puts its head in as it is when ground, else
+        renamed (see the module docstring). A context-independent head
+        needs no licence."""
         start, end = e.start, e.end
         syn = self.depth == SYN
         chart = self.chart
@@ -580,37 +570,32 @@ class _Parser:
                 self.tables.reduction_triggers[e.backbone]:
             if trailing and not chart.has_empty_edges(end):
                 continue
-            binds: dict = {}
-            if number is None and daughter.feats:
-                binds = unify_values(daughter, e.cat, binds)
-                if binds is None:
-                    continue
             if binary:
                 backbone = tail[0].backbone
                 matches = chart.edges_ending_at(start)  # live, as in `_match`
             elif trailing or tail:
-                matches = self._match(trailing, tail, binds, (e,))
+                matches = self._match(trailing, tail, (e,))
             else:
-                matches = ((binds, (e,)),)
+                matches = ((e,),)
             head = rule.head
             for match in matches:
                 if not binary:
-                    b, daughters = match
+                    daughters = match
                 elif match.backbone != backbone:
                     continue
                 else:
-                    b, daughters = binds, (match, e)
+                    daughters = (match, e)
                 span_start = daughters[0].start
                 if not head_ci and not self._licensed(head.backbone, span_start):
                     continue
                 if number is None:
-                    # the rename keeps the rule's own variables out of the chart
-                    head_cat = head if head.ground else refresh(resolve(head, b), {})
+                    head_cat = head if head.ground else _instantiate((), (), head)
                 else:
-                    key = (number, daughters[0].cls, e.cls)
+                    key = ((number, match.cls, e.cls) if binary
+                           else (number, *[d.cls for d in daughters]))
                     head_cat = memo.get(key)
                     if head_cat is None:
-                        head_cat = self._reduced_head(rule, daughter, tail, daughters)
+                        head_cat = _instantiate((*tail, daughter, *trailing), daughters, head)
                         if len(memo) < MEMO_LIMIT:
                             memo[key] = head_cat
                     elif head_cat and not head_cat.ground:
@@ -630,37 +615,15 @@ class _Parser:
                     if edge is not None:
                         yield edge
 
-    def _reduced_head(self, rule: Rule, daughter: FeatureTerm, tail: tuple[FeatureTerm, ...],
-                      daughters: tuple[Edge, ...]) -> FeatureTerm | bool:
-        """The head category a numbered trigger makes of the match
-        `daughters` (one or two, the last the trigger's own), resolved
-        and renamed; False if they do not unify. An edge matched twice
-        (an empty edge can be) is unified the second time as a renamed
-        copy, as in `_match`."""
-        e = daughters[-1]
-        binds = unify_values(daughter, e.cat, {}) if daughter.feats else {}
-        if binds is not None and tail and tail[0].feats:
-            left = daughters[0]
-            binds = unify_values(tail[0], refresh(left.cat, {}) if left is e else left.cat,
-                                 binds)
-        if binds is None:
-            return False
-        head = rule.head
-        return head if head.ground else refresh(resolve(head, binds), {})
-
     def _match(self, trailing: tuple[FeatureTerm, ...], tail: tuple[FeatureTerm, ...],
-               binds, matched: tuple[Edge, ...]) -> Iterator[tuple[object, tuple[Edge, ...]]]:
+               matched: tuple[Edge, ...]) -> Iterator[tuple[Edge, ...]]:
         """Extend the daughters `matched` so far by one edge for each of
-        `trailing` and `tail`, not both empty: first the trailing
-        daughters left to right, each by an empty edge at the right end,
-        then the tail right to left, each by an edge ending at the left
-        end. Yields the bindings and all the daughters of each match, the
-        last daughter's in place. The edge lists are live, so a search
-        paused at a yield sees the edges added meanwhile. A bare daughter
-        (a closed one) matches every edge of its backbone without
-        unifying. An open daughter that matches an edge again (only an
-        empty edge can be matched twice) is unified with a renamed copy,
-        so that each use binds its own variables."""
+        `trailing` and `tail`, not both empty, matched by backbone: first
+        the trailing daughters left to right, each by an empty edge at the
+        right end, then the tail right to left, each by an edge ending at
+        the left end. Yields all the daughters of each match, the last
+        daughter's in place. The edge lists are live, so a search paused
+        at a yield sees the edges added meanwhile."""
         right = bool(trailing)
         if right:
             term, trailing = trailing[0], trailing[1:]
@@ -669,22 +632,40 @@ class _Parser:
             term, tail = tail[-1], tail[:-1]
             at = matched[0].start
         more = trailing or tail
-        backbone, bare = term.backbone, not term.feats
+        backbone = term.backbone
         for edge in self.chart.edges_ending_at(at):
             if edge.backbone != backbone or right and edge.start != at:
                 continue
-            if bare:
-                b = binds
-            else:
-                cat = refresh(edge.cat, {}) if edge in matched else edge.cat
-                b = unify_values(term, cat, binds)
-                if b is None:
-                    continue
             daughters = (*matched, edge) if right else (edge, *matched)
             if more:
-                yield from self._match(trailing, tail, b, daughters)
+                yield from self._match(trailing, tail, daughters)
             else:
-                yield b, daughters
+                yield daughters
+
+
+def _instantiate(pattern: tuple[FeatureTerm, ...], edges: tuple[Edge, ...],
+                 result: FeatureTerm | tuple[FeatureTerm, ...]
+                 ) -> FeatureTerm | tuple[FeatureTerm, ...] | bool:
+    """Unify each open term of `pattern` with the category of the edge in
+    its place in `edges`, and return `result`, a category or a sequence,
+    resolved and renamed under one mapping; False if the terms do not
+    unify. A bare term (a closed daughter) binds nothing and is passed
+    over. An edge met again (an empty edge can fill two places) is unified
+    as a renamed copy, so that each use binds variables of its own. A
+    ground term of `result` is its own copy."""
+    binds: dict = {}
+    for i, term in enumerate(pattern):
+        if term.feats:
+            edge = edges[i]
+            cat = refresh(edge.cat, {}) if edge in edges[:i] else edge.cat
+            binds = unify_values(term, cat, binds)
+            if binds is None:
+                return False
+    mapping: dict = {}
+    if type(result) is tuple:
+        return tuple([t if t.ground else refresh(resolve(t, binds), mapping)
+                      for t in result])
+    return result if result.ground else refresh(resolve(result, binds), mapping)
 
 
 def tokenize(utterance: str) -> list[str]:

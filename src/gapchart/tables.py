@@ -16,8 +16,9 @@ completes and the reduction trigger index. Triggers and entries hold
 what a rule alone decides: its daughters as compiled
 (`Rule.compiled_rhs`, where a closed daughter is its bare backbone),
 whether its head is context-independent, whether a predicted sequence
-is ground, and the number under which the class memo keeps its
-outcomes (see `CompiledTables`). Compilation also reports closure
+is ground, and, when it has an open daughter or trigger to unify, the
+number under which the class memo keeps its outcomes (see
+`CompiledTables`). Compilation also reports closure
 violations: the context-dependent set must be closed under
 possible-left-corner-of, or predictions cannot license every phrase a
 complete parse needs.
@@ -41,9 +42,10 @@ class PredictionEntry(NamedTuple):
     The trigger is the rule's first daughter as compiled (a closed one is
     its bare backbone, see `Rule.compiled_rhs`); `ground` says the
     sequence holds no variable, so it is predicted as it is stored.
-    `number` keys the entry's outcomes in the class memo; it is None for
-    a bare trigger with a ground sequence, which has nothing to work
-    out."""
+    `number` keys the entry's outcomes in the class memo; it is set when
+    the trigger is open, and None for a bare trigger, which has nothing
+    to unify: its sequence is predicted as stored when ground, else
+    renamed."""
 
     rule: Rule
     trigger: FeatureTerm
@@ -62,9 +64,9 @@ class ReductionTrigger(NamedTuple):
     is context-independent, so every match is licensed. `binary` says
     the trigger has one tail daughter and no trailing ones, the shape
     the engine matches in one loop. `number` keys the trigger's outcomes
-    in the class memo: it is set for a binary or unary trigger (one
-    daughter and no trailing ones) with an open daughter, and None for
-    every other trigger, which unifies as it goes."""
+    in the class memo: it is set when any daughter is open, whatever the
+    shape, and None when every daughter is bare, which leaves nothing to
+    unify: the head goes in as it is when ground, else renamed."""
 
     rule: Rule
     daughter: FeatureTerm
@@ -84,11 +86,12 @@ class CompiledTables:
     reading combinations), so later utterances share it. The engine
     fills the memo and evicts its least recently used entries; callers
     never set it. `class_memo` keeps, next to it, what the rules'
-    categories alone decide: the outcome of each numbered trigger or
-    entry for the variant classes of the edges it meets (see the engine
-    module). The engine fills it until it holds `engine.MEMO_LIMIT`
-    entries, and then keeps what it holds. The grammar is not changed
-    once it has tables, and tables serve one thread at a time.
+    categories alone decide: the outcome of the engine's one
+    instantiation step for each numbered trigger or entry and the
+    variant classes of all the edges it matches (see the engine module).
+    The engine fills it until it holds `engine.MEMO_LIMIT` entries, and
+    then keeps what it holds. The grammar is not changed once it has
+    tables, and tables serve one thread at a time.
     """
 
     strategy: str
@@ -125,7 +128,7 @@ def _entries(grammar: Grammar, cd: frozenset[str],
                 head_ci=rule.head.backbone not in cd,
                 seq=seq,
                 ground=ground,
-                number=None if ground and not trigger.feats else next(numbers),
+                number=next(numbers) if trigger.feats else None,
             )
             out.setdefault(trigger.backbone, []).append(entry)
     return {b: tuple(es) for b, es in out.items()}
@@ -141,15 +144,13 @@ def _reduction_triggers(
         rhs = rule.compiled_rhs
         n = len(rhs)
         head_ci = rule.head.backbone not in cd
+        any_open = any(d.feats for d in rhs)
         for pos in range(n - 1, -1, -1):
             if pos < n - 1 and rhs[pos + 1].backbone not in nullable:
                 break
-            # the class memo serves one or two daughters, no trailing ones,
-            # and one of them open
-            memo = pos == n - 1 < 2 and (rhs[0].feats or rhs[pos].feats)
             trigger = ReductionTrigger(rule, rhs[pos], rhs[:pos], rhs[pos + 1:], head_ci,
                                        binary=pos == 1 and n == 2,
-                                       number=next(numbers) if memo else None)
+                                       number=next(numbers) if any_open else None)
             out.setdefault(rhs[pos].backbone, []).append(trigger)
     return {b: tuple(ts) for b, ts in out.items()}
 

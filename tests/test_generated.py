@@ -511,6 +511,14 @@ MINIMAL_GRAMMARS = [
         "start s()\ncd a\nrule rs : s() -> c() a()\nrule ra : a() -> e()\n"
         "rule rc : c() -> x() e()\nrule re : e() ->\nlex w : x()\n", "w",
         ["(rs (rc w (re)) (ra (re)))"], id="licence-after-empty-edge-at-its-position"),
+    # advancing the predicted `b(f=h(g=X)) b(f=X) c()` by the empty `rb`
+    # gives `b(f=Y)`; unless it is renamed it shares `Y` with that edge,
+    # and the same edge then fails the occurs check in the next place
+    pytest.param(
+        "feature b f\nfeature h g\nstart s()\ncd c w\nrestrict b f\n"
+        "rule r : s() -> a() b(f=h(g=X)) b(f=X) c()\nrule rb : b(f=h(g=Y)) ->\n"
+        "rule rc : c() -> w()\nlex x : a()\nlex y : w()\n", "x y",
+        ["(r x (rb) (rb) (rc y))"], id="advanced-sequence-shares-no-variable-with-its-edge"),
 ]
 
 

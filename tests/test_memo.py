@@ -343,25 +343,37 @@ lex fish : n(num=N) -> fish
 
 
 # `mk` makes an `a` whose `f` is free from the class memo; `top` joins
-# two of them, whose variables must stay apart
+# two of them, whose variables must stay apart. `mk` has one daughter,
+# three, or one before a trailing empty one (`mb` builds the `b` while
+# its end is closed, so `mk` is matched from `b`, the empty `e` in place)
 TWO_FROM_ONE_CLASS = """
 feature a f
 feature b f
 feature s f g
 start s()
 rule top : s(f=X, g=Y) -> a(f=X) a(f=Y)
-rule mk : a(f=X) -> b(f=X)
-lex y : b()
 """
+MAKERS = [
+    ("rule mk : a(f=X) -> b(f=X)\nlex y : b()\n", "y y"),
+    ("rule mk : a(f=X) -> b(f=X) c() c()\nlex y : b()\nlex z : c()\n", "y z z y z z"),
+    ("rule mk : a(f=X) -> b(f=X) e()\nrule mb : b() -> w() e()\nrule re : e() ->\n"
+     "lex y : w()\n", "y y"),
+]
 
 
 @pytest.mark.parametrize("strategy", ("bu", "llc", "lc"))
 def test_each_category_from_the_class_memo_has_variables_of_its_own(strategy):
-    grammar = parse_grammar(TWO_FROM_ONE_CLASS)
-    tables = compile_tables(grammar, strategy)
-    for _ in range(2):
-        result = parse(grammar, ["y", "y"], strategy=strategy, tables=tables)
-        assert [canonical(e.cat) for e in result.complete_edges()] == ["s(f=_1,g=_2)"]
+    for maker, utterance in MAKERS:
+        grammar = parse_grammar(TWO_FROM_ONE_CLASS + maker)
+        tables = compile_tables(grammar, strategy)
+        # every shape of trigger with an open daughter keys the class memo
+        (mk,) = [t for ts in tables.reduction_triggers.values() for t in ts
+                 if t.rule.name == "mk" and not t.binary]
+        for _ in range(2):
+            result = parse(grammar, tokenize(utterance), strategy=strategy, tables=tables)
+            assert [canonical(e.cat) for e in result.complete_edges()] == \
+                ["s(f=_1,g=_2)"], maker
+        assert any(key[0] == mk.number for key in tables.class_memo), maker
 
 
 # `r` asks for two `a`s whose `idx` values differ; the empty `ae` can fill

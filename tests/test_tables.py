@@ -4,6 +4,7 @@ and the compiled daughters checked against tables that compile none."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import pytest
 
@@ -265,15 +266,16 @@ def test_triggers_and_entries_hold_the_compiled_daughters(toy_grammar):
                 assert t.daughter.backbone == backbone
                 assert t.head_ci == (t.rule.head.backbone not in tables.cd)
                 assert t.binary == (k == 1 and not t.trailing)
-                # the class memo serves one or two daughters, one of them open
-                served = k < 2 and not t.trailing and any(d.feats for d in rhs)
-                assert (t.number is not None) == served
+                # numbered when any compiled daughter is open: a trigger
+                # of every bare daughter has nothing to unify
+                assert (t.number is not None) == any(d.feats for d in rhs)
                 numbers.append(t.number)
         for entries in tables.entries.values():
             for e in entries:
                 assert e.trigger == e.rule.compiled_rhs[0]
                 assert e.ground == all(term.ground for term in e.seq)
-                assert (e.number is None) == (e.ground and not e.trigger.feats)
+                # numbered when the trigger is open
+                assert (e.number is not None) == bool(e.trigger.feats)
                 numbers.append(e.number)
         numbers = [n for n in numbers if n is not None]
         assert numbers and len(set(numbers)) == len(numbers)
@@ -283,27 +285,39 @@ def test_triggers_and_entries_hold_the_compiled_daughters(toy_grammar):
     assert r5.trigger == FeatureTerm("np") and r5.ground
 
 
+class _Forgetful(dict):
+    """A class memo that stores nothing, so every match is worked out
+    afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 def _uncompiled(tables):
     """The tables with nothing decided at compile time: every daughter
     open, no predicted sequence known to be ground, no head known to be
-    context-independent, no trigger known to be binary and none numbered
-    for the class memo, so that `_Parser._match` matches every trigger
-    and every daughter and entry is unified as it is met."""
+    context-independent, no trigger known to be binary, and every trigger
+    and entry numbered over a class memo that stores nothing, so that
+    `_Parser._match` matches every trigger and every match is unified as
+    it is met."""
+    numbers = itertools.count()
 
     def trigger(t):
         rhs, k = t.rule.rhs, len(t.tail)
         return t._replace(daughter=rhs[k], tail=rhs[:k], trailing=rhs[k + 1:],
-                          head_ci=False, binary=False, number=None)
+                          head_ci=False, binary=False, number=next(numbers))
 
-    return dataclasses.replace(
+    plain = dataclasses.replace(
         tables,
         entries={b: tuple(e._replace(trigger=e.rule.rhs[0], head_ci=False, ground=False,
-                                     number=None)
+                                     number=next(numbers))
                           for e in es)
                  for b, es in tables.entries.items()},
         reduction_triggers={b: tuple(map(trigger, ts))
                             for b, ts in tables.reduction_triggers.items()},
     )
+    plain.class_memo = _Forgetful()
+    return plain
 
 
 def _corpus_lines(name):
