@@ -37,12 +37,10 @@ from __future__ import annotations
 
 from typing import Callable, Generic, TypeVar
 
-from .grammar import Rule
+from .grammar import Grammar, Rule
 from .semantics import Reading
-from .tables import CompiledTables
 from .terms import (
     FeatureTerm,
-    Restrictor,
     canonical,
     canonical_seq,
     seq_subsumes,
@@ -220,10 +218,15 @@ class ForestFold(Generic[T]):
 
 
 class Chart:
-    """Edges, predictions, and the bookkeeping the engine drives."""
+    """Edges, predictions, and the bookkeeping the engine drives.
 
-    def __init__(self, words: list[str], tables: CompiledTables,
-                 restrictor: Restrictor, lookahead: bool = True,
+    A chart is built from the grammar and reads only what the grammar
+    alone decides: its restrictor, and from `Grammar.analysis` the
+    corners a licence is made of and the first words and nullable set
+    the lookahead filter checks. What a strategy decides (the compiled
+    tables) stays with the engine."""
+
+    def __init__(self, words: list[str], grammar: Grammar, lookahead: bool = True,
                  base: Chart | None = None, resume_at: int = 0):
         """An empty chart for `words`, or one that takes the positions
         before `resume_at` from the finished chart `base`: their edges
@@ -232,9 +235,8 @@ class Chart:
         never changed again, in it or in `base`."""
         n_words = len(words)
         self.words = words
-        self.tables = tables
+        self.grammar = grammar
         self.lookahead = lookahead
-        self.restrictor = restrictor
         self.predictions: dict[int, list[tuple[FeatureTerm, ...]]] = {
             i: [] for i in range(n_words + 1)
         }
@@ -306,7 +308,7 @@ class Chart:
     def add_prediction(self, pos: int, seq: tuple[FeatureTerm, ...]) -> str:
         """Gate, restrict, and store a sequence; returns "ok",
         "lookahead", or "duplicate"."""
-        seq = tuple(self.restrictor.restrict(t) for t in seq)
+        seq = tuple(map(self.grammar.restrictor.restrict, seq))
         if self.lookahead and not self._lookahead_ok(pos, seq):
             return "lookahead"
         for existing in self.predictions[pos]:
@@ -317,17 +319,16 @@ class Chart:
             licensed = self._licensed.get(pos)
             if licensed is None:
                 licensed = self._licensed[pos] = set()
-            licensed |= self.tables.corners[seq[0].backbone]
+            licensed |= self.grammar.analysis.corners[seq[0].backbone]
         return "ok"
 
     def _lookahead_ok(self, pos: int, seq: tuple[FeatureTerm, ...]) -> bool:
         word = self.words[pos] if pos < len(self.words) else None
+        analysis = self.grammar.analysis
         for term in seq:
-            if word is not None and word in self.tables.first_word.get(
-                term.backbone, frozenset()
-            ):
+            if word is not None and word in analysis.first_word.get(term.backbone, ()):
                 return True
-            if term.backbone not in self.tables.nullable:
+            if term.backbone not in analysis.nullable:
                 return False
         # every element can be empty, so the sequence needs no input
         return True

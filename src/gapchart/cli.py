@@ -45,9 +45,9 @@ def cmd_validate(args) -> int:
     tables = compile_tables(grammar, args.strategy)
     print(f"rules\t{len(grammar.rules)}")
     print(f"lexicon\t{sum(len(v) for v in grammar.lexicon.values())}")
-    print(f"backbones\t{len(tables.backbones)}")
+    print(f"backbones\t{len(grammar.analysis.backbones)}")
     print(f"cd\t{' '.join(sorted(tables.cd))}")
-    print(f"nullable\t{' '.join(sorted(tables.nullable))}")
+    print(f"nullable\t{' '.join(sorted(grammar.analysis.nullable))}")
     if tables.closure_violations:
         for x, y in tables.closure_violations:
             print(f"closure\t{x} begins {y}", file=sys.stderr)

@@ -140,7 +140,8 @@ TraceFn = Callable[[str], None]
 # many, and the class memo stores no more; one 10-best list of the
 # rescoring benchmark uses a few dozen semantic entries, but one pass
 # over its 111 lists meets 1,155 distinct keys, and the semantic memo
-# then misses 1,789 times cold and 1,722 times warm
+# then misses 1,789 times cold and 1,722 times warm; the benchmark loads
+# its grammar afresh before every pass, so each pass it times is cold
 MEMO_LIMIT = 256
 
 
@@ -384,8 +385,7 @@ class _Parser:
             for i in range(resume_at - 1):
                 if not self.grammar.lexicon.get(words[i]):
                     raise UnknownWordError(words[i], i + 1)
-        chart = Chart(words, self.tables, self.grammar.restrictor, self.lookahead,
-                      base, resume_at)
+        chart = Chart(words, self.grammar, self.lookahead, base, resume_at)
         self.chart = chart
         start = self.grammar.start
         for pos in range(resume_at, len(words) + 1):
@@ -432,15 +432,20 @@ class _Parser:
         memo[key] = got
         return [r.renamed() for r in got]
 
-    def _combine(self, rule: Rule, daughters: tuple[Edge, ...]) -> list[Reading]:
-        """The readings of a phrase above `syn` (the caller knows that
-        `syn` has one, None); none for a veto."""
+    def _combine(self, rule: Rule, daughters: tuple[Edge, ...],
+                 start: int, end: int) -> list[Reading]:
+        """The readings of a phrase from `start` to `end` above `syn` (the
+        caller knows that `syn` has one, None); none for a veto, which is
+        traced here for every rule, empty ones included."""
         # an edge that fills two daughter positions (an empty edge can)
         # gets fresh variables for each use after the first
         dreadings = [d.reading.renamed() if d in daughters[:i] else d.reading
                      for i, d in enumerate(daughters)]
         key = (rule.name, self.depth, tuple([r.render for r in dreadings]))
-        return self._recall(key, combine_readings, rule, dreadings)
+        readings = self._recall(key, combine_readings, rule, dreadings)
+        if not readings:
+            self._say("REJECT", "veto", rule.name, start, end)
+        return readings
 
     def _add(self, start: int, end: int, cat: FeatureTerm, derivation: Derivation,
              reading: Reading | None) -> Edge | None:
@@ -492,12 +497,12 @@ class _Parser:
             made = len(seqs)
             for edge in again:
                 self._process(edge)
-            for rule in self.tables.empty_rules:
+            for rule in self.grammar.analysis.empty_rules:
                 if not self._licensed(rule.head.backbone, pos):
                     continue
                 head = refresh(rule.head, {})
                 derivation = Derivation("empty", rule=rule)
-                readings = (None,) if self.depth == SYN else self._combine(rule, ())
+                readings = (None,) if self.depth == SYN else self._combine(rule, (), pos, pos)
                 for reading in readings:
                     edge = self._add(pos, pos, head, derivation, reading)
                     if edge is not None:
@@ -602,13 +607,9 @@ class _Parser:
                         head_cat = refresh(head_cat, {})
                     if not head_cat:
                         continue
-                if syn:
-                    readings = (None,)
-                else:
-                    readings = self._combine(rule, daughters)
-                    if not readings:
-                        self._say("REJECT", "veto", rule.name, span_start, end)
-                        continue
+                readings = (None,) if syn else self._combine(rule, daughters, span_start, end)
+                if not readings:
+                    continue
                 derivation = Derivation("rule", rule=rule, daughters=daughters)
                 for reading in readings:
                     edge = self._add(span_start, end, head_cat, derivation, reading)
@@ -690,11 +691,12 @@ def parse(grammar: Grammar, words: list[str], *, strategy: str = "llc",
 
     Without `tables`, the grammar's own tables for the strategy are
     used, compiled on its first such parse and kept in
-    `grammar.compiled`. Every parse made with the same tables shares
-    their semantic work: lexical readings and reading combinations are
-    memoised on the tables, for every depth. So the grammar must not be
-    changed after its first parse, and a grammar or a set of tables
-    serves one thread at a time.
+    `grammar.compiled`. With `tables`, the parse runs under
+    `tables.strategy` and `strategy` is not read. Every parse made with
+    the same tables shares their semantic work: lexical readings and
+    reading combinations are memoised on the tables, for every depth.
+    So the grammar must not be changed after its first parse, and a
+    grammar or a set of tables serves one thread at a time.
     """
     if depth not in DEPTHS:
         raise ConfigError(f"unknown depth {depth!r}; expected one of {DEPTHS}")

@@ -119,7 +119,8 @@ class GrammarAnalysis(NamedTuple):
     can begin each backbone), the words that can begin each backbone
     (read off that relation: a word begins every phrase one of its
     lexical categories can begin) and the empty rules. `parse_grammar`
-    works it out once, and every `compile_tables` call shares it."""
+    works it out once; the chart reads it, and every `compile_tables`
+    call builds on it."""
 
     backbones: frozenset[str]
     nullable: frozenset[str]
@@ -131,12 +132,13 @@ class GrammarAnalysis(NamedTuple):
 
 @dataclass
 class Grammar:
-    """A loaded grammar. Its declarations are not changed once loaded:
-    `analysis`, worked out by `parse_grammar`, holds what they alone
-    decide; `compiled` caches its `CompiledTables` by strategy, compiled
-    on the first parse made without `tables=`, and the semantic memo on
-    them serves every later parse. So one grammar serves one thread at
-    a time."""
+    """A loaded grammar. Its declarations are not changed once loaded.
+    The grammar holds what it alone decides: `analysis`, worked out by
+    `parse_grammar`, and the restrictor, which is all a chart reads.
+    What a strategy decides is in the `CompiledTables` that `compiled`
+    caches by strategy, compiled on the first parse made without
+    `tables=`; the semantic memo on them serves every later parse. So
+    one grammar serves one thread at a time."""
 
     features: dict[str, tuple[str, ...]] = field(default_factory=dict)
     start: FeatureTerm | None = None

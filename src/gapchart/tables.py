@@ -1,4 +1,4 @@
-"""Compile-time tables for a grammar under a parsing strategy.
+"""Compile-time tables: what a strategy decides for a grammar.
 
 A strategy fixes the backbone partition: context-independent categories
 are built whenever their daughters are present, context-dependent ones
@@ -6,22 +6,21 @@ only where predicted (or where they can begin a predicted phrase).
 `bu` makes every category context-independent, `lc` makes every one
 context-dependent, and `llc` uses the grammar's declared set.
 
-The tables take over what the grammar alone decides from
-`Grammar.analysis`, which `parse_grammar` works out once per grammar:
-the backbones, the nullable set, the possible-left-corner relation
-(reflexive-transitive) and its inverse, the first-word sets for
-one-word lookahead and the empty rules. Compilation builds, per
-strategy, the prediction entries that fire when a first daughter
-completes and the reduction trigger index. Triggers and entries hold
+What the grammar alone decides, whatever the strategy (its backbones,
+nullable set, possible-left-corner relation and its inverse, first
+words and empty rules), is the grammar's: `Grammar.analysis`, worked
+out once by `parse_grammar`. The tables hold what the strategy
+decides on top of it: the context-dependent set, the prediction
+entries that fire when a first daughter completes, the reduction
+trigger index and the closure violations. Triggers and entries hold
 what a rule alone decides: its daughters as compiled
 (`Rule.compiled_rhs`, where a closed daughter is its bare backbone),
 whether its head is context-independent, whether a predicted sequence
 is ground, and, when it has an open daughter or trigger to unify, the
 number under which the class memo keeps its outcomes (see
-`CompiledTables`). Compilation also reports closure
-violations: the context-dependent set must be closed under
+`CompiledTables`). The context-dependent set must be closed under
 possible-left-corner-of, or predictions cannot license every phrase a
-complete parse needs.
+complete parse needs; the pairs that break it are the violations.
 """
 
 from __future__ import annotations
@@ -79,7 +78,9 @@ class ReductionTrigger(NamedTuple):
 
 @dataclass
 class CompiledTables:
-    """The compiled tables of one grammar under one strategy.
+    """What one strategy decides for one grammar: the context-dependent
+    set, the prediction entries, the reduction triggers and the closure
+    violations (what the grammar alone decides is `Grammar.analysis`).
 
     Tables are meant to be reused across utterances: `memo` keeps the
     semantic work of the parses made with them (lexical readings and
@@ -96,14 +97,8 @@ class CompiledTables:
 
     strategy: str
     cd: frozenset[str]
-    backbones: frozenset[str]
-    nullable: frozenset[str]
-    left_corner: dict[str, frozenset[str]]
-    corners: dict[str, frozenset[str]]
-    first_word: dict[str, frozenset[str]]
     entries: dict[str, tuple[PredictionEntry, ...]]
     reduction_triggers: dict[str, tuple[ReductionTrigger, ...]]
-    empty_rules: tuple[Rule, ...] = ()
     closure_violations: list[tuple[str, str]] = field(default_factory=list)
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     class_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -165,24 +160,12 @@ def compile_tables(grammar: Grammar, strategy: str) -> CompiledTables:
         cd = analysis.backbones
     else:
         cd = frozenset(grammar.cd)
-    left_corner = analysis.left_corner
-    violations = sorted(
-        (x, y)
-        for x in cd
-        for y in left_corner.get(x, frozenset())
-        if y not in cd
-    )
+    violations = sorted((x, y) for x in cd for y in analysis.left_corner[x] if y not in cd)
     numbers = itertools.count()
     return CompiledTables(
         strategy=strategy,
         cd=cd,
-        backbones=analysis.backbones,
-        nullable=analysis.nullable,
-        left_corner=left_corner,
-        corners=analysis.corners,
-        first_word=analysis.first_word,
         entries=_entries(grammar, cd, numbers),
         reduction_triggers=_reduction_triggers(grammar, analysis.nullable, cd, numbers),
-        empty_rules=analysis.empty_rules,
         closure_violations=violations,
     )

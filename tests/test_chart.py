@@ -8,7 +8,6 @@ import pytest
 
 from gapchart.chart import Chart, Derivation
 from gapchart.grammar import parse_grammar
-from gapchart.tables import compile_tables
 from gapchart.terms import FeatureTerm, Var, variants
 
 
@@ -28,9 +27,7 @@ class FakeReading:
 
 @pytest.fixture
 def chart():
-    g = parse_grammar(MINI)
-    tables = compile_tables(g, "bu")
-    return Chart(["w", "w"], tables, g.restrictor, lookahead=False)
+    return Chart(["w", "w"], parse_grammar(MINI), lookahead=False)
 
 
 def lex(word: str) -> Derivation:
@@ -200,30 +197,27 @@ def test_prediction_dedup_is_one_directional(chart):
 
 
 def test_a_position_licenses_what_can_begin_its_first_backbones(toy_grammar):
-    tables = compile_tables(toy_grammar, "lc")
-    chart = Chart(["the", "pilot"], tables, toy_grammar.restrictor, lookahead=False)
+    analysis = toy_grammar.analysis
+    chart = Chart(["the", "pilot"], toy_grammar, lookahead=False)
     firsts = set()
-    for backbone in sorted(tables.backbones):
+    for backbone in sorted(analysis.backbones):
         chart.add_prediction(0, (FeatureTerm(backbone),))
         firsts.add(backbone)
         # a backbone is licensed where it can begin a predicted first backbone
-        assert chart.licensed(0) == {x for x in tables.backbones
-                                     if tables.left_corner[x] & firsts}, backbone
+        assert chart.licensed(0) == {x for x in analysis.backbones
+                                     if analysis.left_corner[x] & firsts}, backbone
     assert chart.licensed(1) == set()
 
 
 def test_lookahead_rejects_impossible_first_word(toy_grammar):
-    tables = compile_tables(toy_grammar, "llc")
-    chart = Chart(["booked", "lands"], tables, toy_grammar.restrictor,
-                  lookahead=True)
+    chart = Chart(["booked", "lands"], toy_grammar, lookahead=True)
     # next word "booked" can never start an np
     assert chart.add_prediction(0, (FeatureTerm("np"),)) == "lookahead"
     assert chart.add_prediction(0, (FeatureTerm("vp_gap"),)) == "ok"
 
 
 def test_lookahead_walks_through_nullable_elements(toy_grammar):
-    tables = compile_tables(toy_grammar, "llc")
-    chart = Chart(["lands"], tables, toy_grammar.restrictor, lookahead=True)
+    chart = Chart(["lands"], toy_grammar, lookahead=True)
     # np_gap is nullable, so the walk reaches vp whose first words
     # include "lands"
     seq = (FeatureTerm("np_gap"), FeatureTerm("vp"))
@@ -231,14 +225,12 @@ def test_lookahead_walks_through_nullable_elements(toy_grammar):
 
 
 def test_lookahead_accepts_all_nullable_at_end_of_input(toy_grammar):
-    tables = compile_tables(toy_grammar, "llc")
-    chart = Chart(["lands"], tables, toy_grammar.restrictor, lookahead=True)
+    chart = Chart(["lands"], toy_grammar, lookahead=True)
     assert chart.add_prediction(1, (FeatureTerm("np_gap"),)) == "ok"
 
 
 def test_predictions_are_restricted_on_entry(toy_grammar):
-    tables = compile_tables(toy_grammar, "llc")
-    chart = Chart(["the"], tables, toy_grammar.restrictor, lookahead=False)
+    chart = Chart(["the"], toy_grammar, lookahead=False)
     cat = FeatureTerm("np", (("agr", "sg"), ("case", "nom")))
     chart.add_prediction(0, (cat,))
     (seq,) = chart.predictions[0]

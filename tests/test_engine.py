@@ -494,6 +494,15 @@ def test_parse_accepts_precompiled_tables(toy_grammar):
     assert r1.trees() == r2.trees()
 
 
+def test_given_tables_decide_the_strategy(toy_grammar):
+    words = tokenize("the flight that the pilot booked lands")
+    lc = compile_tables(toy_grammar, "lc")
+    r = parse(toy_grammar, words, strategy="bu", tables=lc)
+    assert r.tables is lc and r.tables.strategy == "lc"
+    assert r.chart.dump() == parse(toy_grammar, words, strategy="lc").chart.dump()
+    assert r.chart.dump() != parse(toy_grammar, words, strategy="bu").chart.dump()
+
+
 def test_empty_input_parses_iff_start_is_nullable():
     g = parse_grammar(
         "start s()\nrule s_e : s() ->\nlex w : s()\n"

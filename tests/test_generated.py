@@ -148,7 +148,7 @@ def random_grammar_text(rng: random.Random) -> str:
 def closed_cd(grammar: Grammar, seed_set: set[str]) -> set[str]:
     """The smallest superset of `seed_set` closed under
     possible-left-corner-of (whatever a member can begin is a member)."""
-    begins = compile_tables(grammar, "bu").left_corner
+    begins = grammar.analysis.left_corner
     cd = set(seed_set)
     todo = list(cd)
     while todo:
@@ -162,7 +162,7 @@ def closed_cd(grammar: Grammar, seed_set: set[str]) -> set[str]:
 def with_closed_cd(rng: random.Random, text: str) -> Grammar:
     """The grammar of `text` with a random closed context-dependent set."""
     grammar = parse_grammar(text)
-    used = sorted(compile_tables(grammar, "bu").backbones - {"n"})
+    used = sorted(grammar.analysis.backbones - {"n"})
     cd = closed_cd(grammar, set(rng.sample(used, rng.randint(1, 2))))
     return parse_grammar(text + f"cd {' '.join(sorted(cd))}\n")
 
@@ -286,27 +286,27 @@ def cover_disagreements(seed: int) -> Iterator[tuple[str, list[str]]]:
 
 
 def table_disagreements(seed: int) -> Iterator[tuple[str, list[str]]]:
-    """(strategy and table, backbones) for each table of the seed's
-    generated grammar and generated sort grammar that differs, under
-    `bu`, `llc` or `lc`, from what `tests/oracles.py` finds: the
-    nullable set, the possible-left-corner relation and the first words."""
+    """(table, backbones) for each table of the analysis of the seed's
+    generated grammar and generated sort grammar that differs from what
+    `tests/oracles.py` finds: the nullable set, the possible-left-corner
+    relation and the first words. The analysis is the grammar's, the same
+    under every strategy."""
     for make in (random_grammar, random_sort_grammar):
         grammar = make(random.Random(seed))
+        analysis = grammar.analysis
         nullable = derivation_nullable(grammar)
         left_corner = matrix_left_corner(grammar)
         first_word = recursive_first_words(grammar)
-        for strategy in ("bu", "llc", "lc"):
-            tables = compile_tables(grammar, strategy)
-            if tables.nullable != nullable:
-                yield f"{strategy} nullable", sorted(tables.nullable ^ nullable)
-            bad_corners = sorted(b for b in left_corner
-                                 if tables.left_corner.get(b, {b}) != left_corner[b])
-            if bad_corners:
-                yield f"{strategy} left_corner", bad_corners
-            bad_words = sorted(b for b in first_word
-                               if tables.first_word.get(b, set()) != first_word[b])
-            if bad_words:
-                yield f"{strategy} first_word", bad_words
+        if analysis.nullable != nullable:
+            yield "nullable", sorted(analysis.nullable ^ nullable)
+        bad_corners = sorted(b for b in left_corner
+                             if analysis.left_corner.get(b, {b}) != left_corner[b])
+        if bad_corners:
+            yield "left_corner", bad_corners
+        bad_words = sorted(b for b in first_word
+                           if analysis.first_word.get(b, set()) != first_word[b])
+        if bad_words:
+            yield "first_word", bad_words
 
 
 def _resume_pairs(rng: random.Random, grammar: Grammar) -> list[tuple[list[str], list[str]]]:

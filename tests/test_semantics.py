@@ -41,6 +41,23 @@ def test_veto_emits_trace_events(sorts_grammar):
     assert vetoes and all("s1" in v for v in vetoes)
 
 
+EMPTY_VETO = """
+start s()
+rule r : s() -> a() e()
+rule re : e() ->
+lex x : a()
+sem r : D1
+"""
+
+
+def test_a_vetoed_empty_rule_is_traced_at_each_offer():
+    # `re` has no semantic rule, so above `syn` it has no reading
+    events = []
+    parse(parse_grammar(EMPTY_VETO), ["x"], strategy="bu", depth="sem", trace=events.append)
+    assert [e for e in events if e.startswith("REJECT")] == [
+        "REJECT\tveto\tre\t0\t0", "REJECT\tveto\tre\t1\t1"]
+
+
 LEXICAL_VETO = """
 start s()
 rule r : s() -> w()

@@ -1,5 +1,6 @@
-"""Compile-time analysis tables, cross-checked against naive oracles,
-and the compiled daughters checked against tables that compile none."""
+"""The grammar analysis, cross-checked against naive oracles, the
+tables each strategy compiles on top of it, and the compiled daughters
+checked against tables that compile none."""
 
 from __future__ import annotations
 
@@ -31,26 +32,32 @@ def grammars(toy_grammar, sorts_grammar, ambig_grammar, fragments_grammar):
 
 def test_nullable_matches_derivation_search(grammars):
     for name, g in grammars.items():
-        tables = compile_tables(g, "bu")
-        assert tables.nullable == derivation_nullable(g), name
+        assert g.analysis.nullable == derivation_nullable(g), name
 
 
 def test_left_corner_matches_matrix_closure(grammars):
     for name, g in grammars.items():
-        tables = compile_tables(g, "llc")
+        analysis = g.analysis
         oracle = matrix_left_corner(g)
-        for backbone in tables.backbones:
-            assert tables.left_corner.get(backbone, {backbone}) == \
+        for backbone in analysis.backbones:
+            assert analysis.left_corner.get(backbone, {backbone}) == \
                 oracle[backbone], (name, backbone)
 
 
 def test_first_words_match_recursive_computation(grammars):
     for name, g in grammars.items():
-        tables = compile_tables(g, "llc")
+        analysis = g.analysis
         oracle = recursive_first_words(g)
-        for backbone in tables.backbones:
-            assert tables.first_word.get(backbone, set()) == \
+        for backbone in analysis.backbones:
+            assert analysis.first_word.get(backbone, set()) == \
                 oracle[backbone], (name, backbone)
+
+
+def _analysis_text(grammar):
+    """The grammar's analysis with its empty rules by name, so that two
+    loads of one grammar compare equal."""
+    analysis = grammar.analysis
+    return analysis._replace(empty_rules=[r.name for r in analysis.empty_rules])
 
 
 def _table_text(tables):
@@ -64,11 +71,10 @@ def _table_text(tables):
         return (t.rule.name, canonical_seq((*t.tail, t.daughter, *t.trailing)),
                 len(t.tail), t.head_ci)
 
-    return (tables.strategy, tables.cd, tables.backbones, tables.nullable,
-            tables.left_corner, tables.first_word,
+    return (tables.strategy, tables.cd,
             {b: [entry(e) for e in es] for b, es in tables.entries.items()},
             {b: [trigger(t) for t in ts] for b, ts in tables.reduction_triggers.items()},
-            [r.name for r in tables.empty_rules], tables.closure_violations)
+            tables.closure_violations)
 
 
 @pytest.mark.parametrize("name", ("toy.gram", "sorts.gram", "fragments.gram"))
@@ -83,15 +89,11 @@ def test_the_grammar_analysis_is_worked_out_once_per_grammar(monkeypatch, name):
     grammar = parse_grammar(read_text(name))
     tables = {strategy: compile_tables(grammar, strategy) for strategy in STRATEGIES}
     assert calls == [grammar]
-    analysis = grammar.analysis
-    for t in tables.values():
-        assert t.nullable is analysis.nullable and t.left_corner is analysis.left_corner
-        assert t.first_word is analysis.first_word and t.backbones is analysis.backbones
-        assert t.empty_rules is analysis.empty_rules and t.corners is analysis.corners
     monkeypatch.undo()
+    again = parse_grammar(read_text(name))
+    assert _analysis_text(again) == _analysis_text(grammar)
     for strategy, t in tables.items():
-        fresh = compile_tables(parse_grammar(read_text(name)), strategy)
-        assert _table_text(t) == _table_text(fresh), strategy
+        assert _table_text(t) == _table_text(compile_tables(again, strategy)), strategy
 
 
 def test_strategy_determines_cd_set(toy_grammar):
@@ -99,7 +101,7 @@ def test_strategy_determines_cd_set(toy_grammar):
     lc = compile_tables(toy_grammar, "lc")
     llc = compile_tables(toy_grammar, "llc")
     assert bu.cd == frozenset()
-    assert lc.cd == frozenset(lc.backbones)
+    assert lc.cd == toy_grammar.analysis.backbones
     assert llc.cd == {"s_gap", "vp_gap", "np_gap"}
     assert set(STRATEGIES) == {"bu", "lc", "llc"}
 
@@ -202,17 +204,17 @@ def test_reduction_triggers_stop_at_non_nullable():
 
 
 def test_empty_rules_listed(toy_grammar):
-    tables = compile_tables(toy_grammar, "bu")
-    assert [r.name for r in tables.empty_rules] == ["r7"]
-    assert tables.nullable == {"np_gap"}
+    analysis = toy_grammar.analysis
+    assert [r.name for r in analysis.empty_rules] == ["r7"]
+    assert analysis.nullable == {"np_gap"}
 
 
 def test_can_begin_uses_closure(toy_grammar):
-    tables = compile_tables(toy_grammar, "llc")
-    assert "s" in tables.left_corner["det"]
-    assert "s_gap" in tables.left_corner["np"]
-    assert "s" in tables.left_corner["s"]          # reflexive
-    assert "np" not in tables.left_corner["v"]
+    left_corner = toy_grammar.analysis.left_corner
+    assert "s" in left_corner["det"]
+    assert "s_gap" in left_corner["np"]
+    assert "s" in left_corner["s"]          # reflexive
+    assert "np" not in left_corner["v"]
 
 
 # -- compiled daughters ----------------------------------------------------
